@@ -43,7 +43,10 @@ run_config() {
   echo "==== [${name}] build ===="
   cmake --build "${dir}" -j "${jobs}"
   echo "==== [${name}] ctest ===="
-  ctest --test-dir "${dir}" --output-on-failure -j "${jobs}" ${label_args[@]+"${label_args[@]}"}
+  # --schedule-random shuffles the parallel test order on every run, so a
+  # fixture shared between test processes fails here instead of by luck.
+  ctest --test-dir "${dir}" --output-on-failure -j "${jobs}" --schedule-random \
+    ${label_args[@]+"${label_args[@]}"}
   if [ "${name}" = "release" ]; then
     # The whole suite again with the bit-kernel dispatch pinned to scalar:
     # proves every result is backend-independent end to end, and keeps the
@@ -51,7 +54,7 @@ run_config() {
     # vector backends themselves run under ASan/UBSan/TSan via the default
     # dispatch in the other configs plus the per-backend parity tests.)
     echo "==== [${name}] ctest (C3_KERNEL=scalar) ===="
-    C3_KERNEL=scalar ctest --test-dir "${dir}" --output-on-failure -j "${jobs}"
+    C3_KERNEL=scalar ctest --test-dir "${dir}" --output-on-failure -j "${jobs}" --schedule-random
     # Perf-trajectory smoke: a small prepared k-sweep per algorithm. Emits
     # BENCH_pr2.json (prepare/search seconds + counts) and fails on any
     # cross-algorithm count mismatch. A missing binary is an error, not a

@@ -1,6 +1,5 @@
 #include "clique/arbcount.hpp"
 
-#include <atomic>
 #include <vector>
 
 #include "clique/engine.hpp"
@@ -18,7 +17,7 @@ namespace c3 {
 // (search_cliques_vertex) where kcList's dense-subproblem path shares it.
 
 CliqueResult arbcount_search(const Digraph& dag, int k, const CliqueCallback* callback,
-                             const CliqueOptions& opts, QueryScratch& scratch) {
+                             StopSource& stop, const CliqueOptions& opts, QueryScratch& scratch) {
   (void)opts;
   CliqueResult result;
   result.stats.order_quality = dag.max_out_degree();
@@ -27,16 +26,15 @@ CliqueResult arbcount_search(const Digraph& dag, int k, const CliqueCallback* ca
   WallTimer search_timer;
   const node_t n = dag.num_nodes();
   result.stats.top_level_tasks = n;
-  scratch.reset_query();
-  std::atomic<bool>& stop = scratch.stop;
+  scratch.reset_query(stop, callback);
 
   parallel_for_dynamic(
       0, n,
       [&](std::size_t u) {
-        if (stop.load(std::memory_order_relaxed)) return;
         const auto members = dag.out_neighbors(static_cast<node_t>(u));
         if (static_cast<int>(members.size()) < k - 1) return;
         CliqueScratch& w = scratch.local();
+        if (w.ctx.poll_stop()) return;
 
         // Induce and rename G[N+(u)] (the per-vertex re-representation).
         build_local_graph(dag, members, w.lg);
@@ -44,8 +42,6 @@ CliqueResult arbcount_search(const Digraph& dag, int k, const CliqueCallback* ca
         w.ctx.lg = &w.lg;
         w.ctx.ctr = &w.ctr;
         ++w.ctr.dense_subproblems;
-        w.ctx.callback = callback;
-        w.ctx.stop = callback != nullptr ? &stop : nullptr;
         if (callback != nullptr) {
           w.member_orig.resize(members.size());
           for (std::size_t i = 0; i < members.size(); ++i)

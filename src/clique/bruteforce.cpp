@@ -9,9 +9,10 @@ namespace {
 struct BruteState {
   const Graph* g;
   const CliqueCallback* callback;
+  StopSource* stop;
   std::vector<node_t> stack;
   count_t found = 0;
-  bool stopped = false;
+  unsigned polls = 0;
 };
 
 /// Extends the current partial clique (st.stack) with `need` more vertices
@@ -21,12 +22,12 @@ void extend(BruteState& st, const std::vector<node_t>& cands, int need) {
   if (need == 0) {
     ++st.found;
     if (st.callback != nullptr && !(*st.callback)(std::span<const node_t>(st.stack)))
-      st.stopped = true;
+      st.stop->request_stop();
     return;
   }
   if (static_cast<int>(cands.size()) < need) return;
   std::vector<node_t> next;
-  for (std::size_t i = 0; i < cands.size() && !st.stopped; ++i) {
+  for (std::size_t i = 0; i < cands.size() && !st.stop->poll(st.polls); ++i) {
     const node_t v = cands[i];
     // next = {w in cands, w > v, w adjacent to v}
     next.clear();
@@ -39,23 +40,30 @@ void extend(BruteState& st, const std::vector<node_t>& cands, int need) {
   }
 }
 
-count_t run(const Graph& g, int k, const CliqueCallback* callback) {
+}  // namespace
+
+count_t brute_force_search(const Graph& g, int k, const CliqueCallback* callback,
+                           StopSource& stop) {
+  stop.begin_search();
   if (k <= 0) return 0;
   BruteState st;
   st.g = &g;
   st.callback = callback;
+  st.stop = &stop;
   std::vector<node_t> all(g.num_nodes());
   for (node_t v = 0; v < g.num_nodes(); ++v) all[v] = v;
   extend(st, all, k);
   return st.found;
 }
 
-}  // namespace
-
-count_t brute_force_count(const Graph& g, int k) { return run(g, k, nullptr); }
+count_t brute_force_count(const Graph& g, int k) {
+  StopSource stop;
+  return brute_force_search(g, k, nullptr, stop);
+}
 
 count_t brute_force_list(const Graph& g, int k, const CliqueCallback& callback) {
-  return run(g, k, &callback);
+  StopSource stop;
+  return brute_force_search(g, k, &callback, stop);
 }
 
 }  // namespace c3

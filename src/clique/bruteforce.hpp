@@ -7,6 +7,7 @@
 #pragma once
 
 #include "clique/common.hpp"
+#include "clique/stop.hpp"
 #include "graph/graph.hpp"
 
 namespace c3 {
@@ -17,5 +18,10 @@ namespace c3 {
 /// Lists all k-cliques (ascending vertex order within each clique).
 /// Returns the number reported; stops early when the callback returns false.
 count_t brute_force_list(const Graph& g, int k, const CliqueCallback& callback);
+
+/// Both of the above under a query's stop source (stop.hpp): counts when
+/// `callback` is null, and polls `stop` before every extension step.
+count_t brute_force_search(const Graph& g, int k, const CliqueCallback* callback,
+                           StopSource& stop);
 
 }  // namespace c3

@@ -1,6 +1,5 @@
 #include "clique/c3list.hpp"
 
-#include <atomic>
 #include <vector>
 
 #include "clique/engine.hpp"
@@ -13,8 +12,8 @@
 namespace c3 {
 
 CliqueResult c3list_search(const Digraph& dag, const EdgeCommunities& comms, int k,
-                           const CliqueCallback* callback, const CliqueOptions& opts,
-                           QueryScratch& scratch) {
+                           const CliqueCallback* callback, StopSource& stop,
+                           const CliqueOptions& opts, QueryScratch& scratch) {
   CliqueResult result;
   result.stats.order_quality = dag.max_out_degree();
   result.stats.gamma = comms.max_size();
@@ -26,14 +25,13 @@ CliqueResult c3list_search(const Digraph& dag, const EdgeCommunities& comms, int
       dag.num_arcs(), [&](std::size_t e) { return comms.size(static_cast<edge_t>(e)) >= needed; });
   result.stats.top_level_tasks = tasks.size();
 
-  scratch.reset_query();
-  std::atomic<bool>& stop = scratch.stop;
+  scratch.reset_query(stop, callback);
 
   parallel_for_dynamic(
       0, tasks.size(),
       [&](std::size_t t) {
-        if (stop.load(std::memory_order_relaxed)) return;
         CliqueScratch& w = scratch.local();
+        if (w.ctx.poll_stop()) return;
         const edge_t e = tasks[t];
         const auto members = comms.members(e);
 
@@ -53,8 +51,6 @@ CliqueResult c3list_search(const Digraph& dag, const EdgeCommunities& comms, int
         w.ctx.lg = &w.lg;
         w.ctx.prune = opts.distance_pruning;
         w.ctx.ctr = &w.ctr;
-        w.ctx.callback = callback;
-        w.ctx.stop = callback != nullptr ? &stop : nullptr;
         if (callback != nullptr) {
           w.member_orig.resize(members.size());
           for (std::size_t i = 0; i < members.size(); ++i)

@@ -33,12 +33,13 @@ namespace c3 {
 
 /// Search half of Algorithm 1 on prepared artifacts: requires k >= 3, an
 /// oriented `dag` and its edge communities. `callback` may be null
-/// (counting). `scratch` is this query's leased state — reset here, reused
+/// (counting); `stop` is the query's stop source (stop.hpp), polled in both
+/// modes. `scratch` is this query's leased state — reset here, reused
 /// warm across queries, and the only mutable state the search touches, so
 /// concurrent callers with distinct leases never interfere. Stats report
 /// only the search (preprocess_seconds stays 0).
 [[nodiscard]] CliqueResult c3list_search(const Digraph& dag, const EdgeCommunities& comms, int k,
-                                         const CliqueCallback* callback, const CliqueOptions& opts,
-                                         QueryScratch& scratch);
+                                         const CliqueCallback* callback, StopSource& stop,
+                                         const CliqueOptions& opts, QueryScratch& scratch);
 
 }  // namespace c3

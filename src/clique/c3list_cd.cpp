@@ -1,7 +1,6 @@
 #include "clique/c3list_cd.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 #include "clique/engine.hpp"
 #include "clique/local_graph.hpp"
@@ -47,8 +46,8 @@ void build_local_graph_cd(const Graph& g, std::span<const node_t> members,
 }  // namespace
 
 CliqueResult c3list_cd_search(const Graph& g, const EdgeOrderResult& order, int k,
-                              const CliqueCallback* callback, const CliqueOptions& opts,
-                              QueryScratch& scratch) {
+                              const CliqueCallback* callback, StopSource& stop,
+                              const CliqueOptions& opts, QueryScratch& scratch) {
   CliqueResult result;
   result.stats.order_quality = order.sigma;
 
@@ -66,14 +65,13 @@ CliqueResult c3list_cd_search(const Graph& g, const EdgeOrderResult& order, int 
   result.stats.gamma = gamma;
 
   const auto endpoints = g.endpoints();
-  scratch.reset_query();
-  std::atomic<bool>& stop = scratch.stop;
+  scratch.reset_query(stop, callback);
 
   parallel_for_dynamic(
       0, tasks.size(),
       [&](std::size_t t) {
-        if (stop.load(std::memory_order_relaxed)) return;
         CliqueScratch& w = scratch.local();
+        if (w.ctx.poll_stop()) return;
         const edge_t e = tasks[t];
         const auto members = order.candidates(e);
         // Algorithm 3, line 4: V' <- community of e among later edges.
@@ -81,8 +79,6 @@ CliqueResult c3list_cd_search(const Graph& g, const EdgeOrderResult& order, int 
         w.ctx.lg = &w.lg;
         w.ctx.prune = opts.distance_pruning;
         w.ctx.ctr = &w.ctr;
-        w.ctx.callback = callback;
-        w.ctx.stop = callback != nullptr ? &stop : nullptr;
         if (callback != nullptr) {
           // V'(e) members are original vertex ids already.
           w.ctx.member_to_orig = members.data();
@@ -110,7 +106,8 @@ CliqueResult c3list_cd_count_with_order(const Graph& g, int k, const EdgeOrderRe
     return result;
   }
   QueryScratch scratch;
-  return c3list_cd_search(g, order, k, nullptr, opts, scratch);
+  StopSource stop;
+  return c3list_cd_search(g, order, k, nullptr, stop, opts, scratch);
 }
 
 CliqueResult c3list_cd_count(const Graph& g, int k, const CliqueOptions& opts) {

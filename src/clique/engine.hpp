@@ -184,14 +184,15 @@ class PreparedGraph {
   // queries on other threads keep a stable address.
   struct Memo;
 
-  struct QueryControl;  // budget/cancel polling shared by run()'s kinds
-
   // The `prep` out-parameters accumulate seconds of preparation performed by
   // *this call* — the building query; threads that merely wait on the latch
   // add nothing. execute() forwards the sum into stats.preprocess_seconds.
-  [[nodiscard]] CliqueResult execute(int k, const CliqueCallback* callback) const;
-  [[nodiscard]] CliqueResult dispatch(int k, const CliqueCallback* callback, double& prep) const;
-  void run_max_clique(const Query& query, Answer& answer, QueryControl& control) const;
+  // `stop` is the query's stop source; each search begins on it afresh.
+  [[nodiscard]] CliqueResult execute(int k, const CliqueCallback* callback,
+                                     StopSource& stop) const;
+  [[nodiscard]] CliqueResult dispatch(int k, const CliqueCallback* callback, StopSource& stop,
+                                      double& prep) const;
+  void run_max_clique(const Query& query, Answer& answer, StopSource& stop) const;
   [[nodiscard]] const Digraph& dag(double& prep) const;
   [[nodiscard]] const EdgeCommunities& communities(double& prep) const;
   [[nodiscard]] const EdgeOrderResult& edge_order(double& prep) const;

@@ -1,7 +1,6 @@
 #include "clique/hybrid.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <vector>
 
 #include "clique/engine.hpp"
@@ -82,7 +81,7 @@ void local_degeneracy_order(const LocalGraph& lg, std::vector<int>& order,
 }  // namespace
 
 CliqueResult hybrid_search(const Digraph& dag, int k, const CliqueCallback* callback,
-                           const CliqueOptions& opts, QueryScratch& scratch) {
+                           StopSource& stop, const CliqueOptions& opts, QueryScratch& scratch) {
   CliqueResult result;
   result.stats.order_quality = dag.max_out_degree();
   result.stats.gamma = result.stats.order_quality;
@@ -90,16 +89,15 @@ CliqueResult hybrid_search(const Digraph& dag, int k, const CliqueCallback* call
   WallTimer search_timer;
   const node_t n = dag.num_nodes();
   result.stats.top_level_tasks = n;
-  scratch.reset_query();
-  std::atomic<bool>& stop = scratch.stop;
+  scratch.reset_query(stop, callback);
 
   parallel_for_dynamic(
       0, n,
       [&](std::size_t v) {
-        if (stop.load(std::memory_order_relaxed)) return;
         const auto members = dag.out_neighbors(static_cast<node_t>(v));
         if (static_cast<int>(members.size()) < k - 1) return;
         CliqueScratch& w = scratch.local();
+        if (w.ctx.poll_stop()) return;
 
         // Induce G[N+(v)] in approximate-rank space...
         build_local_graph(dag, members, w.lg_aux);
@@ -123,8 +121,6 @@ CliqueResult hybrid_search(const Digraph& dag, int k, const CliqueCallback* call
         w.ctx.lg = &w.lg;
         w.ctx.prune = opts.distance_pruning;
         w.ctx.ctr = &w.ctr;
-        w.ctx.callback = callback;
-        w.ctx.stop = callback != nullptr ? &stop : nullptr;
         if (callback != nullptr) {
           w.member_orig.resize(members.size());
           for (int r = 0; r < sz; ++r) {

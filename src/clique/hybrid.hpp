@@ -27,10 +27,9 @@ namespace c3 {
 
 /// Search half on a prepared (approximate-order) orientation: requires
 /// k >= 3; computes the exact inner order per out-neighborhood. `callback`
-/// may be null (counting). `scratch` is this query's leased state (see
-/// c3list_search).
+/// may be null (counting); `stop` and `scratch` are as in c3list_search.
 [[nodiscard]] CliqueResult hybrid_search(const Digraph& dag, int k,
-                                         const CliqueCallback* callback, const CliqueOptions& opts,
-                                         QueryScratch& scratch);
+                                         const CliqueCallback* callback, StopSource& stop,
+                                         const CliqueOptions& opts, QueryScratch& scratch);
 
 }  // namespace c3

@@ -1,7 +1,6 @@
 #include "clique/kclist.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 #include <vector>
 
@@ -14,19 +13,15 @@
 namespace c3 {
 namespace {
 
-struct Env {
-  const Digraph* dag;
-  const CliqueCallback* callback;
-};
+// Early-stop state and the listing callback ride in w.ctx
+// (SearchContext::poll_stop / request_stop), the same stop source the
+// community-centric searches poll.
 
-// Early-stop state rides in w.ctx (SearchContext::poll_stop / request_stop),
-// the same shared-flag mechanism the community-centric searches use.
-
-count_t kclist_rec(const Env& env, CliqueScratch& w, int l) {
+count_t kclist_rec(const Digraph& dag, CliqueScratch& w, int l) {
   ++w.ctr.recursive_calls;
   if (w.ctx.poll_stop()) return 0;
   const std::vector<node_t>& S = w.levels[static_cast<std::size_t>(l)];
-  const Digraph& dag = *env.dag;
+  const CliqueCallback* callback = w.ctx.callback;
 
   if (l == 2) {
     // Count the edges that stayed at level 2: each closes a clique.
@@ -35,12 +30,12 @@ count_t kclist_rec(const Env& env, CliqueScratch& w, int l) {
       for (const node_t x : dag.out_neighbors(v)) {
         ++w.ctr.pairs_probed;
         if (w.label[x] != 2) continue;
-        if (env.callback != nullptr && w.ctx.poll_stop()) return found;
+        if (callback != nullptr && w.ctx.poll_stop()) return found;
         ++found;
-        if (env.callback != nullptr) {
+        if (callback != nullptr) {
           w.clique_stack.push_back(dag.original_id(v));
           w.clique_stack.push_back(dag.original_id(x));
-          if (!(*env.callback)(std::span<const node_t>(w.clique_stack))) w.ctx.request_stop();
+          if (!(*callback)(std::span<const node_t>(w.clique_stack))) w.ctx.request_stop();
           w.clique_stack.pop_back();
           w.clique_stack.pop_back();
           if (w.ctx.stopped) return found;
@@ -54,7 +49,7 @@ count_t kclist_rec(const Env& env, CliqueScratch& w, int l) {
   count_t total = 0;
   std::vector<node_t>& next = w.levels[static_cast<std::size_t>(l - 1)];
   for (const node_t v : S) {
-    if (w.ctx.poll_stop()) break;
+    if (w.ctx.stopped) break;
     // Descend into N+(v) ∩ S: exactly the out-neighbors still labeled l.
     next.clear();
     for (const node_t x : dag.out_neighbors(v)) {
@@ -66,9 +61,9 @@ count_t kclist_rec(const Env& env, CliqueScratch& w, int l) {
       }
     }
     if (static_cast<int>(next.size()) >= l - 1) {
-      if (env.callback != nullptr) w.clique_stack.push_back(dag.original_id(v));
-      total += kclist_rec(env, w, l - 1);
-      if (env.callback != nullptr) w.clique_stack.pop_back();
+      if (callback != nullptr) w.clique_stack.push_back(dag.original_id(v));
+      total += kclist_rec(dag, w, l - 1);
+      if (callback != nullptr) w.clique_stack.pop_back();
     }
     // Backtrack: restore the labels consumed above.
     for (const node_t x : next) w.label[x] = l;
@@ -79,7 +74,7 @@ count_t kclist_rec(const Env& env, CliqueScratch& w, int l) {
 }  // namespace
 
 CliqueResult kclist_search(const Digraph& dag, int k, const CliqueCallback* callback,
-                           const CliqueOptions& opts, QueryScratch& scratch) {
+                           StopSource& stop, const CliqueOptions& opts, QueryScratch& scratch) {
   (void)opts;
   if (k > 255) throw std::invalid_argument("kclist: k too large");
   CliqueResult result;
@@ -89,18 +84,14 @@ CliqueResult kclist_search(const Digraph& dag, int k, const CliqueCallback* call
   WallTimer search_timer;
   const node_t n = dag.num_nodes();
   result.stats.top_level_tasks = n;
-  scratch.reset_query();
-  std::atomic<bool>& stop = scratch.stop;
-  Env env{&dag, callback};
+  scratch.reset_query(stop, callback);
 
   try {
     parallel_for_dynamic(
         0, n,
         [&](std::size_t u) {
-          if (stop.load(std::memory_order_relaxed)) return;
           CliqueScratch& w = scratch.local();
-          w.ctx.callback = callback;
-          w.ctx.stop = callback != nullptr ? &stop : nullptr;
+          if (w.ctx.poll_stop()) return;
           if (w.label.size() < static_cast<std::size_t>(n)) w.label.assign(n, 0);
           if (w.levels.size() < static_cast<std::size_t>(k))
             w.levels.resize(static_cast<std::size_t>(k));
@@ -135,7 +126,7 @@ CliqueResult kclist_search(const Digraph& dag, int k, const CliqueCallback* call
             w.clique_stack.clear();
             w.clique_stack.push_back(dag.original_id(static_cast<node_t>(u)));
           }
-          w.count += kclist_rec(env, w, k - 1);
+          w.count += kclist_rec(dag, w, k - 1);
           for (const node_t x : top) w.label[x] = 0;
         },
         1);

@@ -29,10 +29,9 @@ namespace c3 {
                                        const CliqueOptions& opts = {});
 
 /// Search half on a prepared orientation: requires k >= 3. `callback` may be
-/// null (counting). `scratch` is this query's leased state (see
-/// c3list_search).
+/// null (counting); `stop` and `scratch` are as in c3list_search.
 [[nodiscard]] CliqueResult kclist_search(const Digraph& dag, int k,
-                                         const CliqueCallback* callback, const CliqueOptions& opts,
-                                         QueryScratch& scratch);
+                                         const CliqueCallback* callback, StopSource& stop,
+                                         const CliqueOptions& opts, QueryScratch& scratch);
 
 }  // namespace c3

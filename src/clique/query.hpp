@@ -14,10 +14,9 @@
 //   * max_workers       — caps the query's internal parallelism without
 //                         touching the process-global worker cap
 //                         (parallel.hpp WorkerCapScope);
-//   * budget_seconds /  — best-effort early termination: enumeration kinds
-//     cancel               stop at the next poll point, Spectrum between
-//                          k values, MaxClique between probes; a cut-short
-//                          Answer has `truncated` set;
+//   * budget_seconds /  — early termination through the search's own stop
+//     cancel               source (stop.hpp), counting and listing alike: a
+//                          cut-short Answer has `truncated` set;
 //   * result_limit      — List stops after this many materialized cliques;
 //   * want_witness      — MaxClique/FindClique skip materializing a witness.
 //
@@ -67,12 +66,13 @@ struct QueryOptions {
   /// a per-thread WorkerCapScope, so concurrent queries with different caps
   /// never race on the global worker count.
   int max_workers = 0;
-  /// Best-effort wall-clock budget in seconds (0 = none). An expired query
-  /// returns what it found so far with Answer::truncated set. Cost note: an
-  /// active budget or cancel token makes Count/Spectrum count through the
-  /// listing path (so the control can cut mid-enumeration), bypassing the
-  /// algorithms' no-callback counting fast paths — attach one when early
-  /// cut-off matters more than peak counting throughput.
+  /// Wall-clock budget in seconds (0 = none). An expired query returns what
+  /// it found so far with Answer::truncated set. The clock is read as each
+  /// search begins and then every StopSource::kLimitStride polls per worker
+  /// (polls are at every top-level task, recursion entry, and emission), so
+  /// a search stops within one poll stride of the deadline whether or not it
+  /// emits anything. Trivial sizes (k <= 2) are answered without a search
+  /// and never cut.
   double budget_seconds = 0.0;
   /// List only: stop after this many cliques (0 = all). The answer is
   /// marked truncated only when a clique beyond the limit actually exists —
@@ -82,8 +82,9 @@ struct QueryOptions {
   /// MaxClique reports only omega (what max_clique_size() needs) and
   /// FindClique degenerates to HasClique.
   bool want_witness = true;
-  /// External stop token (not representable in text). A query observes a
-  /// store of `true` at its next poll point and returns truncated.
+  /// External stop token (not representable in text), read like the budget
+  /// clock: a store of `true` ends the search within one poll stride per
+  /// worker and the answer returns truncated.
   std::shared_ptr<std::atomic<bool>> cancel;
 };
 

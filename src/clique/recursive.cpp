@@ -116,7 +116,7 @@ count_t search_cliques(SearchContext& ctx, std::span<const int> I, const std::ui
   std::uint64_t* community = ctx.mask_at(level);
   count_t total = 0;
 
-  for (int i = 0; i < t && !ctx.poll_stop(); ++i) {
+  for (int i = 0; i < t && !ctx.stopped; ++i) {
     const int a = I[static_cast<std::size_t>(i)];
     const std::uint64_t* row_a = lg.row(a);
     for (int j = i + 1 + gap; j < t && !ctx.stopped; ++j) {
@@ -190,7 +190,7 @@ count_t search_cliques_tri(SearchContext& ctx, std::span<const int> I,
   std::uint64_t* inner = ctx.mask_at(level + 1);
   count_t total = 0;
 
-  for (int i = 0; i < t && !ctx.poll_stop(); ++i) {
+  for (int i = 0; i < t && !ctx.stopped; ++i) {
     const int a = I[static_cast<std::size_t>(i)];
     const std::uint64_t* row_a = lg.row(a);
     for (int j = i + 1 + gap; j < t && !ctx.stopped; ++j) {
@@ -203,7 +203,7 @@ count_t search_cliques_tri(SearchContext& ctx, std::span<const int> I,
 
       // Grow by the third triangle vertex: the minimal internal member x.
       bits::for_each_bit(community, static_cast<std::size_t>(words), [&](std::size_t xbit) {
-        if (ctx.poll_stop()) return;
+        if (ctx.stopped) return;
         const int x = static_cast<int>(xbit);
         // inner = community ∩ N(x) ∩ {> x}, fused with its popcount.
         ctr.intersection_words += static_cast<std::size_t>(words) - bits::word_index(xbit);
@@ -281,7 +281,7 @@ count_t search_cliques_vertex(SearchContext& ctx, const std::uint64_t* mask, int
   std::uint64_t* next = ctx.mask_at(level);
   count_t total = 0;
   bits::for_each_bit(mask, words, [&](std::size_t x) {
-    if (ctx.poll_stop()) return;
+    if (ctx.stopped) return;
     // next = candidates after x that are adjacent to x, count fused in.
     ctr.intersection_words += words - bits::word_index(x);
     ctr.pairs_probed += 1;

@@ -21,13 +21,13 @@
 // endpoints) rather than "common neighborhood".
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "clique/common.hpp"
 #include "clique/local_graph.hpp"
+#include "clique/stop.hpp"
 #include "graph/types.hpp"
 #include "util/bitkernels.hpp"
 
@@ -46,24 +46,27 @@ struct SearchContext {
   const CliqueCallback* callback = nullptr;
   std::vector<node_t> clique_stack;
   const node_t* member_to_orig = nullptr;
-  bool stopped = false;  ///< callback requested early termination
+  bool stopped = false;  ///< this worker has seen the search's stop
 
-  /// Cross-worker early-stop flag, shared by all contexts of one run. When a
-  /// callback returns false anywhere, every other worker observes it at its
-  /// next poll point (each recursion entry and each emission) instead of
-  /// finishing its in-flight top-level task.
-  std::atomic<bool>* stop = nullptr;
+  /// The query's stop source (stop.hpp), shared by all contexts of one
+  /// search in counting and listing mode alike. A callback's stop, the
+  /// cancel token, and the deadline all reach every worker at its next poll
+  /// point (each top-level task, recursion entry, and emission) instead of
+  /// after its in-flight top-level task. Bound per search by
+  /// QueryScratch::reset_query and valid only while that search runs; null
+  /// when the recursion runs standalone, where only a callback stops it.
+  StopSource* stop = nullptr;
 
-  /// Refreshes `stopped` from the shared flag; returns the merged state.
+  /// Refreshes `stopped` from the stop source; returns the merged state.
   [[nodiscard]] bool poll_stop() noexcept {
-    if (!stopped && stop != nullptr && stop->load(std::memory_order_relaxed)) stopped = true;
+    if (!stopped && stop != nullptr && stop->poll(polls_)) stopped = true;
     return stopped;
   }
 
   /// Records a callback's false return locally and broadcasts it.
   void request_stop() noexcept {
     stopped = true;
-    if (stop != nullptr) stop->store(true, std::memory_order_relaxed);
+    if (stop != nullptr) stop->request_stop();
   }
 
   /// Grows the per-level scratch to cover candidate sets of size `gamma`
@@ -78,6 +81,7 @@ struct SearchContext {
   }
 
  private:
+  unsigned polls_ = 0;  ///< this worker's poll count (strides the limit reads)
   std::vector<int> cand_pool_;
   // Community/candidate masks follow the kernel storage contract
   // (util/bitkernels.hpp): 64-byte-aligned pool, stride = the LocalGraph's

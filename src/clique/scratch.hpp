@@ -3,23 +3,24 @@
 // Every algorithm's inner loop re-represents a small subproblem (a community,
 // a candidate set, an out-neighborhood) in worker-local storage. One
 // CliqueScratch is the union of those worker states; one QueryScratch is a
-// full query's mutable state — a CliqueScratch per worker plus the shared
-// early-stop flag — so nothing a search touches outlives or escapes the
-// query. A PreparedGraph owns a ScratchPool<QueryScratch> and checks one
-// QueryScratch out per in-flight query (ScratchLease): sequential queries
-// reuse the same warm buffers, concurrent queries each get their own, and
-// the pool grows only under actual contention. Fields unused by a given
-// algorithm stay empty and cost nothing.
+// full query's mutable state — a CliqueScratch per worker — so nothing a
+// search touches outlives or escapes the query. The query's stop state is
+// not scratch: it is the StopSource (stop.hpp) the caller passes in. A
+// PreparedGraph owns a ScratchPool<QueryScratch> and checks one QueryScratch
+// out per in-flight query (ScratchLease): sequential queries reuse the same
+// warm buffers, concurrent queries each get their own, and the pool grows
+// only under actual contention. Fields unused by a given algorithm stay
+// empty and cost nothing.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
 #include "clique/common.hpp"
 #include "clique/local_graph.hpp"
 #include "clique/recursive.hpp"
+#include "clique/stop.hpp"
 #include "graph/types.hpp"
 #include "parallel/padded.hpp"
 #include "parallel/parallel.hpp"
@@ -64,24 +65,23 @@ struct CliqueScratch {
   LocalCounters ctr;
   count_t count = 0;
 
-  /// Resets the per-query accumulators; all buffers keep their capacity.
-  void reset_query() noexcept {
+  /// Resets the per-query accumulators and binds the search's stop source
+  /// and callback (null = counting); all buffers keep their capacity.
+  void reset_query(StopSource& stop, const CliqueCallback* callback) noexcept {
     ctr = {};
     count = 0;
     ctx.stopped = false;
-    ctx.stop = nullptr;
-    ctx.callback = nullptr;
+    ctx.stop = &stop;
+    ctx.callback = callback;
   }
 };
 
-/// One query's complete mutable state: a warm CliqueScratch per worker and
-/// the stop flag shared by that query's workers (and nobody else's). The
-/// search halves receive exactly one QueryScratch and touch nothing outside
-/// it, which is what makes queries against one PreparedGraph safe to issue
-/// from many threads at once.
+/// One query's complete mutable state: a warm CliqueScratch per worker. The
+/// search halves receive exactly one QueryScratch and one StopSource and
+/// touch nothing outside them, which is what makes queries against one
+/// PreparedGraph safe to issue from many threads at once.
 struct QueryScratch {
   PerWorker<CliqueScratch> workers;
-  std::atomic<bool> stop{false};
 
   /// Set by a search half whose traversal unwound via an exception (a
   /// throwing listing callback): backtracking was skipped, so invariants
@@ -90,20 +90,21 @@ struct QueryScratch {
   /// nothing.
   bool labels_dirty = false;
 
-  /// Prepares every slot for a new query: rebuilds the slot array if the
+  /// Prepares every slot for a new search: rebuilds the slot array if the
   /// worker pool grew past it (so local() never clamps), resets the
-  /// accumulators, clears the stop flag, repairs exception-dirtied labels.
-  /// Warm buffers survive.
-  void reset_query() {
+  /// accumulators, binds `stop` and `callback` to every slot, repairs
+  /// exception-dirtied labels, and begins the search on `stop`. Warm buffers
+  /// survive.
+  void reset_query(StopSource& stop, const CliqueCallback* callback) {
     if (workers.size() < static_cast<std::size_t>(num_workers()))
       workers = PerWorker<CliqueScratch>();
     for (std::size_t i = 0; i < workers.size(); ++i) {
       CliqueScratch& w = workers.slot(i);
-      w.reset_query();
+      w.reset_query(stop, callback);
       if (labels_dirty) std::fill(w.label.begin(), w.label.end(), 0);
     }
     labels_dirty = false;
-    stop.store(false, std::memory_order_relaxed);
+    stop.begin_search();
   }
 
   /// The calling worker's scratch.

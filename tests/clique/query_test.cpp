@@ -456,12 +456,10 @@ TEST(QueryRun, CancelTokenTruncates) {
 }
 
 TEST(QueryRun, BudgetTruncatesPerCountsEvenWithFewEmissions) {
-  // Regression: the per-vertex/per-edge accumulation loops used to poll the
-  // budget clock only every 256th emission *per thread*, so on a graph with
-  // fewer than 256 cliques per thread the budget never fired at all. The
-  // accumulators now stride-poll a query-wide counter that reads the clock
-  // on the very first emission — an already-expired budget must truncate on
-  // any graph that has at least one clique.
+  // Contract: a budget truncates per-vertex/per-edge accumulation no matter
+  // how few cliques the graph has — an already-expired budget must truncate
+  // on any graph that has at least one clique, and a generous one must
+  // leave the answer complete.
   const Graph g = social_like(200, 1600, 0.5, 3);
   const PreparedGraph engine(g, {});
   engine.prepare();
@@ -487,8 +485,8 @@ TEST(QueryRun, BudgetTruncatesPerCountsEvenWithFewEmissions) {
 }
 
 TEST(QueryRun, CancelTokenCutsPerCountsAccumulation) {
-  // Cancel tokens are polled on every emission (no stride): a pre-tripped
-  // token must truncate per-vertex/per-edge accumulation immediately.
+  // Contract: a token set before the query starts truncates per-vertex and
+  // per-edge accumulation.
   const Graph g = social_like(200, 1600, 0.5, 3);
   const PreparedGraph engine(g, {});
   engine.prepare();

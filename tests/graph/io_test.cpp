@@ -1,10 +1,13 @@
 // Tests for graph I/O (text edge lists and the binary format).
 #include "graph/io.hpp"
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "clique/engine.hpp"
 #include "graph/builder.hpp"
@@ -17,7 +20,10 @@ namespace {
 class IoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "c3list_io_test";
+    // Per-process directory: ctest runs each TEST_F as its own process, in
+    // parallel, and TearDown removes the whole directory.
+    dir_ = std::filesystem::temp_directory_path() /
+           ("c3list_io_test_" + std::to_string(::getpid()));
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

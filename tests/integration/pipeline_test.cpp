@@ -1,8 +1,11 @@
 // End-to-end pipeline: generate -> serialize -> reload -> analyze -> count,
 // exactly as a downstream user would drive the library.
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
 
 #include "c3list.hpp"
 
@@ -10,7 +13,9 @@ namespace c3 {
 namespace {
 
 TEST(Pipeline, GenerateSerializeAnalyzeCount) {
-  const auto dir = std::filesystem::temp_directory_path() / "c3list_pipeline";
+  // Per-process directory, so concurrent ctest processes never share it.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("c3list_pipeline_" + std::to_string(::getpid()));
   std::filesystem::create_directories(dir);
 
   const Graph g = social_like(300, 2100, 0.4, 2026);
