@@ -4,12 +4,12 @@
 #   2. Debug + ASan/UBSan          (memory + UB coverage for the parallel paths)
 #   3. Release, OpenMP disabled    (the exactly-deterministic serial fallback)
 #   4. TSan, OpenMP disabled       (data-race coverage for the concurrent
-#      query engine: clique + parallel + snapshot + service + net labels
-#      only. OpenMP stays off because libgomp is not TSan-instrumented and
-#      would drown the report in false positives; the concurrency under test
-#      comes from std::threads.)
+#      query engine: clique + parallel + snapshot + service + net + obs
+#      labels only. OpenMP stays off because libgomp is not TSan-instrumented
+#      and would drown the report in false positives; the concurrency under
+#      test comes from std::threads.)
 #
-# Each config runs the full ctest suite (tsan: the clique|parallel labels):
+# Each config runs the full ctest suite (tsan: the labels above):
 #   cmake -B <dir> -S . && cmake --build <dir> -j && ctest --test-dir <dir>
 #
 # Usage: ./ci.sh [config ...]   with configs from: release asan serial tsan
@@ -33,10 +33,9 @@ run_config() {
     # The race-sensitive surfaces: the concurrent engine/batch/stream suites,
     # the parallel substrate, concurrent queries over snapshot-loaded
     # engines, the multi-graph CliqueService, the TCP front end (answer
-    # cache + admission + server threads), the telemetry layer the hot
-    # paths write into (sharded counters, trace ring, slow-query log), and
-    # the scatter-gather sharded engine's parallel sub-queries.
-    label_args=(-L "clique|parallel|snapshot|service|net|obs|shard")
+    # cache + admission + server threads), and the telemetry layer the hot
+    # paths write into (sharded counters, trace ring, slow-query log).
+    label_args=(-L "clique|parallel|snapshot|service|net|obs")
   fi
   echo "==== [${name}] configure ===="
   cmake -B "${dir}" -S . "$@"
@@ -119,15 +118,6 @@ run_config() {
       exit 1
     fi
     "${dir}/bench/bench_obs" --out BENCH_pr9.json --reps 7
-    # Shard smoke: 1/2/4-shard ablation per smoke graph (in-memory and
-    # manifest-opened), every counting kind cross-checked against the
-    # unsharded engine. Emits BENCH_pr10.json.
-    echo "==== [${name}] bench smoke (shard) ===="
-    if [ ! -x "${dir}/bench/bench_shard" ]; then
-      echo "bench_shard not built (is C3_BUILD_BENCH off?)" >&2
-      exit 1
-    fi
-    "${dir}/bench/bench_shard" --out BENCH_pr10.json
     # Wire-level metrics smoke: a real c3serve on an ephemeral port, queries
     # driven through the socket, `metrics` scraped twice and checked for
     # valid exposition + monotonically increasing request counters.

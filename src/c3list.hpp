@@ -21,10 +21,6 @@
 //                           one run(id, query) surface)
 //   Snapshots               snapshot/snapshot.hpp (serialize a prepared
 //                           engine offline, mmap it back at serve time)
-//   Sharding                shard/partition.hpp, shard/sharded_engine.hpp
-//                           (vertex-ownership partition + scatter-gather
-//                           engine), snapshot/shard_manifest.hpp (one-file
-//                           sharded snapshots)
 //   Individual algorithms   clique/c3list.hpp, clique/c3list_cd.hpp,
 //                           clique/hybrid.hpp, clique/kclist.hpp,
 //                           clique/arbcount.hpp, clique/bruteforce.hpp
@@ -69,9 +65,6 @@
 #include "order/community_degeneracy.hpp"
 #include "order/degeneracy.hpp"
 #include "parallel/parallel.hpp"
-#include "shard/partition.hpp"
-#include "shard/sharded_engine.hpp"
-#include "snapshot/shard_manifest.hpp"
 #include "snapshot/snapshot.hpp"
 #include "triangle/communities.hpp"
 #include "triangle/triangle_count.hpp"

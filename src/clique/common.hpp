@@ -2,7 +2,6 @@
 // and the listing callback.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -114,28 +113,6 @@ inline void merge_stats(CliqueResult& result, count_t count, const LocalCounters
   result.count += count;
   ctr.merge_into(result.stats);
   result.stats.cliques = result.count;
-}
-
-/// Folds one sub-engine's stats into a cross-engine aggregate — the merge
-/// point for answer composition (a ShardedEngine folds each shard's main and
-/// halo sub-answers through here). Work counters and wall times sum; the
-/// structural quality figures (gamma, order_quality) take the max, since the
-/// aggregate is only as well-ordered as its worst part. `cliques` sums too,
-/// but a composing caller whose merge is not a plain sum (inclusion-
-/// exclusion) must overwrite it with the merged count afterwards.
-inline void accumulate_stats(CliqueStats& into, const CliqueStats& from) noexcept {
-  into.cliques += from.cliques;
-  into.top_level_tasks += from.top_level_tasks;
-  into.recursive_calls += from.recursive_calls;
-  into.pairs_probed += from.pairs_probed;
-  into.edges_matched += from.edges_matched;
-  into.intersection_words += from.intersection_words;
-  into.leaf_work += from.leaf_work;
-  into.dense_subproblems += from.dense_subproblems;
-  into.gamma = std::max(into.gamma, from.gamma);
-  into.order_quality = std::max(into.order_quality, from.order_quality);
-  into.preprocess_seconds += from.preprocess_seconds;
-  into.search_seconds += from.search_seconds;
 }
 
 /// Listing callback: receives the k vertices of each clique (original vertex

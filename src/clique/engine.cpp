@@ -554,10 +554,17 @@ void PreparedGraph::run_max_clique(const Query& query, Answer& answer, StopSourc
   }
 
   // Binary search over "does a mid-clique exist" in [2, upper bound]. Each
-  // successful probe keeps its witness when one is wanted, so the final
-  // answer usually needs no extra search.
+  // successful probe keeps its witness when one is wanted; the search starts
+  // from an edge (the lowest-id vertex with a neighbour, plus its first
+  // neighbour), so best always holds a verified lo-clique, even when the
+  // budget cuts the very first probe.
   const bool want = query.opts.want_witness;
   std::optional<std::vector<node_t>> best;
+  if (want) {
+    node_t u = 0;
+    while (g_->degree(u) == 0) ++u;
+    best.emplace(std::vector<node_t>{u, g_->neighbors(u).front()});
+  }
   const auto probe = [&](node_t size) -> std::optional<std::vector<node_t>> {
     std::mutex guard;
     bool found = false;
@@ -594,23 +601,10 @@ void PreparedGraph::run_max_clique(const Query& query, Answer& answer, StopSourc
     }
   }
   answer.omega = lo;
-
-  if (want) {
-    if (best.has_value() && best->size() == static_cast<std::size_t>(lo)) {
-      // A verified lo-clique is already in hand — hand it out even when the
-      // budget cut the search short (a truncated answer is a valid partial:
-      // omega is a proven lower bound and the witness proves it).
-      answer.witness = std::move(*best);
-    } else if (!answer.truncated) {
-      if (auto witness = probe(lo); witness.has_value()) {
-        answer.witness = std::move(*witness);
-      } else if (stop.limit_reached()) {
-        // The final witness search itself was cut before finding anything.
-        answer.truncated = true;
-      }
-    }
-  }
-  answer.found = want ? !answer.witness.empty() : answer.omega > 0;
+  // A truncated answer is a valid partial: omega is a proven lower bound and
+  // the witness proves it.
+  if (want) answer.witness = std::move(*best);
+  answer.found = true;
 }
 
 // ------------------------------------------------- named wrappers over run()

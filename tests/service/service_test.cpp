@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -100,12 +101,40 @@ TEST(CliqueService, SnapshotEntriesOpenLazilyAndOnce) {
 }
 
 TEST(CliqueService, MissingSnapshotFailsOnFirstUseAndStays) {
-  CliqueService service;
-  service.add_snapshot("ghost", "/nonexistent/ghost.c3snap");
-  EXPECT_THROW((void)service.run("ghost", make(QueryKind::Count, 3)), std::runtime_error);
-  // The failed open is sticky — no half-open entry on retry.
-  EXPECT_THROW((void)service.run("ghost", make(QueryKind::Count, 3)), std::runtime_error);
-  EXPECT_FALSE(service.catalog()[0].opened);
+  // A file in the retired sharded-manifest format (its 9-byte magic, padded
+  // past the snapshot header size) must be refused and named, not misread.
+  constexpr char kOldManifestMagic[] = {'c', '3', 's', 'h', 'a', 'r', 'd', '0', '1'};
+  const std::filesystem::path old_manifest = temp_snapshot_path("old_manifest");
+  {
+    std::string bytes(4096, '\0');
+    bytes.replace(0, sizeof kOldManifestMagic, kOldManifestMagic, sizeof kOldManifestMagic);
+    std::ofstream(old_manifest, std::ios::binary) << bytes;
+  }
+  const struct {
+    std::filesystem::path path;
+    const char* reason;
+  } inputs[] = {{"/nonexistent/ghost.c3snap", "cannot open"}, {old_manifest, "bad magic"}};
+
+  for (const auto& input : inputs) {
+    SCOPED_TRACE(input.path.string());
+    CliqueService service;
+    service.add_snapshot("ghost", input.path);
+    const auto run_error = [&service]() -> std::string {
+      try {
+        (void)service.run("ghost", make(QueryKind::Count, 3));
+      } catch (const std::runtime_error& e) {
+        return e.what();
+      }
+      return "";
+    };
+    const std::string first = run_error();
+    EXPECT_NE(first.find(input.path.string()), std::string::npos) << first;
+    EXPECT_NE(first.find(input.reason), std::string::npos) << first;
+    // The failed open is sticky — no half-open entry on retry.
+    EXPECT_EQ(run_error(), first);
+    EXPECT_FALSE(service.catalog()[0].opened);
+  }
+  std::filesystem::remove(old_manifest);
 }
 
 TEST(CliqueService, SnapshotWarmupHintsServeIdentically) {
