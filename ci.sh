@@ -118,6 +118,14 @@ run_config() {
       exit 1
     fi
     "${dir}/bench/bench_obs" --out BENCH_pr9.json --reps 7
+    # Repository benchmark self-check: every perfbench workload at a tiny
+    # scale, failing on any wrong answer — including the aggregation
+    # cross-checks (sum of vertexcounts = k * count, sum of edgecounts =
+    # C(k,2) * count, every algorithm agreeing with c3List) — on metrics that
+    # differ from BENCHMARK.json, or on a fault injection the gate misses.
+    # Its CMake build lives inside this config's build directory.
+    echo "==== [${name}] perfbench self-check ===="
+    CARGO_TARGET_DIR="${PWD}/${dir}/perfbench-target" python3 perfbench/run.py --self-check
     # Wire-level metrics smoke: a real c3serve on an ephemeral port, queries
     # driven through the socket, `metrics` scraped twice and checked for
     # valid exposition + monotonically increasing request counters.

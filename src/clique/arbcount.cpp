@@ -14,10 +14,46 @@ namespace c3 {
 // Early-stop state rides in w.ctx (SearchContext::poll_stop / request_stop),
 // the same shared-flag mechanism the community-centric searches use. The
 // vertex-at-a-time recursion itself lives in recursive.cpp
-// (search_cliques_vertex) where kcList's dense-subproblem path shares it.
+// (search_cliques_vertex); kcList's dense-subproblem path shares it through
+// arbcount_task.
 
-CliqueResult arbcount_search(const Digraph& dag, int k, const CliqueCallback* callback,
-                             StopSource& stop, const CliqueOptions& opts, QueryScratch& scratch) {
+count_t arbcount_task(const Digraph& dag, node_t u, int k, CliqueScratch& w) {
+  const auto members = dag.out_neighbors(u);
+  CliqueTally* tally = w.ctx.tally;
+
+  // Induce and rename G[N+(u)] (the per-vertex re-representation).
+  build_local_graph(dag, members, w.lg,
+                    tally != nullptr ? w.ctx.begin_tally_task(static_cast<int>(members.size()))
+                                     : nullptr);
+
+  w.ctx.lg = &w.lg;
+  w.ctx.ctr = &w.ctr;
+  ++w.ctr.dense_subproblems;
+  if (w.ctx.callback != nullptr || tally != nullptr) {
+    w.member_orig.resize(members.size());
+    for (std::size_t i = 0; i < members.size(); ++i)
+      w.member_orig[i] = dag.original_id(members[i]);
+    w.ctx.member_to_orig = w.member_orig.data();
+  }
+  if (w.ctx.callback != nullptr) {
+    w.ctx.clique_stack.clear();
+    w.ctx.clique_stack.push_back(dag.original_id(u));
+  }
+
+  // Search (k-1)-cliques vertex-at-a-time; each completes with u.
+  const count_t found = search_cliques_vertex_all(w.ctx, k - 1);
+  if (tally != nullptr) {
+    // Local vertex a is members[a], the arc from u at that out-list position.
+    const node_t outer[] = {dag.original_id(u)};
+    const edge_t first_arc = dag.raw_out_offsets()[u];
+    flush_task_tally(w.ctx, found, outer, 0,
+                     [&](std::size_t, int a) { return first_arc + static_cast<edge_t>(a); });
+  }
+  return found;
+}
+
+CliqueResult arbcount_search(const Digraph& dag, int k, const CliqueSink& sink, StopSource& stop,
+                             const CliqueOptions& opts, QueryScratch& scratch) {
   (void)opts;
   CliqueResult result;
   result.stats.order_quality = dag.max_out_degree();
@@ -26,33 +62,15 @@ CliqueResult arbcount_search(const Digraph& dag, int k, const CliqueCallback* ca
   WallTimer search_timer;
   const node_t n = dag.num_nodes();
   result.stats.top_level_tasks = n;
-  scratch.reset_query(stop, callback);
+  scratch.reset_query(stop, sink);
 
   parallel_for_dynamic(
       0, n,
       [&](std::size_t u) {
-        const auto members = dag.out_neighbors(static_cast<node_t>(u));
-        if (static_cast<int>(members.size()) < k - 1) return;
+        if (static_cast<int>(dag.out_degree(static_cast<node_t>(u))) < k - 1) return;
         CliqueScratch& w = scratch.local();
         if (w.ctx.poll_stop()) return;
-
-        // Induce and rename G[N+(u)] (the per-vertex re-representation).
-        build_local_graph(dag, members, w.lg);
-
-        w.ctx.lg = &w.lg;
-        w.ctx.ctr = &w.ctr;
-        ++w.ctr.dense_subproblems;
-        if (callback != nullptr) {
-          w.member_orig.resize(members.size());
-          for (std::size_t i = 0; i < members.size(); ++i)
-            w.member_orig[i] = dag.original_id(members[i]);
-          w.ctx.member_to_orig = w.member_orig.data();
-          w.ctx.clique_stack.clear();
-          w.ctx.clique_stack.push_back(dag.original_id(static_cast<node_t>(u)));
-        }
-
-        // Search (k-1)-cliques vertex-at-a-time; each completes with u.
-        w.count += search_cliques_vertex_all(w.ctx, k - 1);
+        w.count += arbcount_task(dag, static_cast<node_t>(u), k, w);
       },
       1);
 

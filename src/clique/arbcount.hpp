@@ -28,10 +28,16 @@ namespace c3 {
 [[nodiscard]] CliqueResult arbcount_list(const Graph& g, int k, const CliqueCallback& callback,
                                          const CliqueOptions& opts = {});
 
-/// Search half on a prepared orientation: requires k >= 3. `callback` may be
-/// null (counting); `stop` and `scratch` are as in c3list_search.
-[[nodiscard]] CliqueResult arbcount_search(const Digraph& dag, int k,
-                                           const CliqueCallback* callback, StopSource& stop,
-                                           const CliqueOptions& opts, QueryScratch& scratch);
+/// Search half on a prepared orientation: requires k >= 3. `sink`, `stop`
+/// and `scratch` are as in c3list_search (edge slots are arc ids of `dag`).
+[[nodiscard]] CliqueResult arbcount_search(const Digraph& dag, int k, const CliqueSink& sink,
+                                           StopSource& stop, const CliqueOptions& opts,
+                                           QueryScratch& scratch);
+
+/// One ArbCount task, shared with kcList's dense-subproblem path: induces
+/// G[N+(u)] as a bitset local graph and searches it vertex-at-a-time for
+/// the (k-1)-cliques that complete with u, in the mode of w's sink (counting,
+/// listing or aggregation). Returns the number of k-cliques found.
+count_t arbcount_task(const Digraph& dag, node_t u, int k, CliqueScratch& w);
 
 }  // namespace c3

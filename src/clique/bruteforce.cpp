@@ -9,6 +9,7 @@ namespace {
 struct BruteState {
   const Graph* g;
   const CliqueCallback* callback;
+  CliqueTally* tally;
   StopSource* stop;
   std::vector<node_t> stack;
   count_t found = 0;
@@ -23,6 +24,14 @@ void extend(BruteState& st, const std::vector<node_t>& cands, int need) {
     ++st.found;
     if (st.callback != nullptr && !(*st.callback)(std::span<const node_t>(st.stack)))
       st.stop->request_stop();
+    if (st.tally != nullptr) {
+      for (std::size_t i = 0; i < st.stack.size(); ++i) {
+        ++st.tally->vertex[st.stack[i]];
+        if (st.tally->edge.empty()) continue;
+        for (std::size_t j = 0; j < i; ++j)
+          ++st.tally->edge[st.g->edge_id(st.stack[j], st.stack[i])];
+      }
+    }
     return;
   }
   if (static_cast<int>(cands.size()) < need) return;
@@ -42,13 +51,13 @@ void extend(BruteState& st, const std::vector<node_t>& cands, int need) {
 
 }  // namespace
 
-count_t brute_force_search(const Graph& g, int k, const CliqueCallback* callback,
-                           StopSource& stop) {
+count_t brute_force_search(const Graph& g, int k, const CliqueSink& sink, StopSource& stop) {
   stop.begin_search();
   if (k <= 0) return 0;
   BruteState st;
   st.g = &g;
-  st.callback = callback;
+  st.callback = sink.callback;
+  st.tally = sink.tallies != nullptr ? &sink.tallies->per_worker.front() : nullptr;
   st.stop = &stop;
   std::vector<node_t> all(g.num_nodes());
   for (node_t v = 0; v < g.num_nodes(); ++v) all[v] = v;
@@ -58,12 +67,12 @@ count_t brute_force_search(const Graph& g, int k, const CliqueCallback* callback
 
 count_t brute_force_count(const Graph& g, int k) {
   StopSource stop;
-  return brute_force_search(g, k, nullptr, stop);
+  return brute_force_search(g, k, CliqueSink{}, stop);
 }
 
 count_t brute_force_list(const Graph& g, int k, const CliqueCallback& callback) {
   StopSource stop;
-  return brute_force_search(g, k, &callback, stop);
+  return brute_force_search(g, k, CliqueSink{&callback, nullptr}, stop);
 }
 
 }  // namespace c3

@@ -19,9 +19,10 @@ namespace c3 {
 /// Returns the number reported; stops early when the callback returns false.
 count_t brute_force_list(const Graph& g, int k, const CliqueCallback& callback);
 
-/// Both of the above under a query's stop source (stop.hpp): counts when
-/// `callback` is null, and polls `stop` before every extension step.
-count_t brute_force_search(const Graph& g, int k, const CliqueCallback* callback,
-                           StopSource& stop);
+/// Both of the above under a query's stop source (stop.hpp), polled before
+/// every extension step: counts, lists or aggregates as `sink` says. It
+/// runs on the calling thread and feeds aggregation one clique at a time
+/// into the first tally, by graph edge id.
+count_t brute_force_search(const Graph& g, int k, const CliqueSink& sink, StopSource& stop);
 
 }  // namespace c3

@@ -10,10 +10,32 @@
 #include "util/timer.hpp"
 
 namespace c3 {
+namespace {
+
+/// Aggregation at k = 3: arc e = (u, v) and each member w of its community
+/// form one triangle.
+void tally_community_triangles(const Digraph& dag, edge_t e, std::span<const node_t> members,
+                               CliqueTally& t) {
+  const node_t u = dag.arc_source(e);
+  const node_t v = dag.arc_target(e);
+  const count_t r = members.size();
+  t.vertex[dag.original_id(u)] += r;
+  t.vertex[dag.original_id(v)] += r;
+  for (const node_t w : members) ++t.vertex[dag.original_id(w)];
+  if (t.edge.empty()) return;
+  t.edge[e] += r;
+  for (const node_t w : members) {
+    ++t.edge[dag.arc_id(u, w)];
+    ++t.edge[dag.arc_id(w, v)];
+  }
+}
+
+}  // namespace
 
 CliqueResult c3list_search(const Digraph& dag, const EdgeCommunities& comms, int k,
-                           const CliqueCallback* callback, StopSource& stop,
-                           const CliqueOptions& opts, QueryScratch& scratch) {
+                           const CliqueSink& sink, StopSource& stop, const CliqueOptions& opts,
+                           QueryScratch& scratch) {
+  const CliqueCallback* callback = sink.callback;
   CliqueResult result;
   result.stats.order_quality = dag.max_out_degree();
   result.stats.gamma = comms.max_size();
@@ -25,7 +47,7 @@ CliqueResult c3list_search(const Digraph& dag, const EdgeCommunities& comms, int
       dag.num_arcs(), [&](std::size_t e) { return comms.size(static_cast<edge_t>(e)) >= needed; });
   result.stats.top_level_tasks = tasks.size();
 
-  scratch.reset_query(stop, callback);
+  scratch.reset_query(stop, sink);
 
   parallel_for_dynamic(
       0, tasks.size(),
@@ -35,34 +57,51 @@ CliqueResult c3list_search(const Digraph& dag, const EdgeCommunities& comms, int
         const edge_t e = tasks[t];
         const auto members = comms.members(e);
 
-        // k = 3 counting needs no adjacency at all: every community member
-        // closes a triangle with the supporting edge.
+        CliqueTally* tally = w.ctx.tally;
+
+        // k = 3 counting and aggregation need no adjacency at all: every
+        // community member closes a triangle with the supporting edge.
         if (k == 3 && callback == nullptr) {
           w.count += members.size();
           ++w.ctr.recursive_calls;
           w.ctr.leaf_work += members.size();
+          if (tally != nullptr) tally_community_triangles(dag, e, members, *tally);
           return;
         }
 
         // Rename C(e) to consecutive integers and build the indicator-table
         // adjacency of Dag[C(e)] (Section 2.2 preprocessing).
-        build_local_graph(dag, members, w.lg);
+        const int size = static_cast<int>(members.size());
+        build_local_graph(dag, members, w.lg,
+                          tally != nullptr ? w.ctx.begin_tally_task(size) : nullptr);
 
+        const node_t u = dag.arc_source(e);
+        const node_t v = dag.arc_target(e);
         w.ctx.lg = &w.lg;
         w.ctx.prune = opts.distance_pruning;
         w.ctx.ctr = &w.ctr;
-        if (callback != nullptr) {
+        if (callback != nullptr || tally != nullptr) {
           w.member_orig.resize(members.size());
           for (std::size_t i = 0; i < members.size(); ++i)
             w.member_orig[i] = dag.original_id(members[i]);
           w.ctx.member_to_orig = w.member_orig.data();
+        }
+        if (callback != nullptr) {
           w.ctx.clique_stack.clear();
-          w.ctx.clique_stack.push_back(dag.original_id(dag.arc_source(e)));
-          w.ctx.clique_stack.push_back(dag.original_id(dag.arc_target(e)));
+          w.ctx.clique_stack.push_back(dag.original_id(u));
+          w.ctx.clique_stack.push_back(dag.original_id(v));
         }
 
         // Algorithm 1, line 3: recurse on the community with c = k - 2.
-        w.count += search_cliques_all(w.ctx, k - 2, opts.triangle_growth);
+        const count_t found = search_cliques_all(w.ctx, k - 2, opts.triangle_growth);
+        w.count += found;
+        if (tally != nullptr) {
+          const node_t outer[] = {dag.original_id(u), dag.original_id(v)};
+          flush_task_tally(w.ctx, found, outer, e, [&](std::size_t i, int a) {
+            const node_t x = members[static_cast<std::size_t>(a)];
+            return i == 0 ? dag.arc_id(u, x) : dag.arc_id(x, v);
+          });
+        }
       },
       1);
 

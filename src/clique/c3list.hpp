@@ -32,14 +32,15 @@ namespace c3 {
                                        const CliqueOptions& opts = {});
 
 /// Search half of Algorithm 1 on prepared artifacts: requires k >= 3, an
-/// oriented `dag` and its edge communities. `callback` may be null
-/// (counting); `stop` is the query's stop source (stop.hpp), polled in both
-/// modes. `scratch` is this query's leased state — reset here, reused
-/// warm across queries, and the only mutable state the search touches, so
-/// concurrent callers with distinct leases never interfere. Stats report
-/// only the search (preprocess_seconds stays 0).
+/// oriented `dag` and its edge communities. `sink` picks counting, listing
+/// or aggregation (whose edge slots are arc ids of `dag`); `stop` is the
+/// query's stop source (stop.hpp), polled in every mode. `scratch` is this
+/// query's leased state — reset here, reused warm across queries, and the
+/// only mutable state the search touches, so concurrent callers with
+/// distinct leases never interfere. Stats report only the search
+/// (preprocess_seconds stays 0).
 [[nodiscard]] CliqueResult c3list_search(const Digraph& dag, const EdgeCommunities& comms, int k,
-                                         const CliqueCallback* callback, StopSource& stop,
+                                         const CliqueSink& sink, StopSource& stop,
                                          const CliqueOptions& opts, QueryScratch& scratch);
 
 }  // namespace c3

@@ -16,9 +16,12 @@ namespace {
 /// which serves as the inner total order): the pair {a, b} is an edge iff it
 /// is an edge of g *and* ordered after e in the edge order. The recursion
 /// must stay within the subgraph (V, E[e <=]) so that e is the unique
-/// lowest-ordered edge of every clique reported under it.
+/// lowest-ordered edge of every clique reported under it. A non-null
+/// `edge_ids` receives each local edge's graph edge id, as in
+/// build_local_graph.
 void build_local_graph_cd(const Graph& g, std::span<const node_t> members,
-                          std::span<const edge_t> edge_pos, edge_t epos, LocalGraph& lg) {
+                          std::span<const edge_t> edge_pos, edge_t epos, LocalGraph& lg,
+                          edge_t* edge_ids) {
   const int n = static_cast<int>(members.size());
   lg.reset(n);
   for (int a = 0; a < n; ++a) {
@@ -35,7 +38,13 @@ void build_local_graph_cd(const Graph& g, std::span<const node_t> members,
       } else if (nbrs[i] > members[j]) {
         ++j;
       } else {
-        if (edge_pos[ids[i]] > epos) lg.add_edge(a, static_cast<int>(j));
+        if (edge_pos[ids[i]] > epos) {
+          lg.add_edge(a, static_cast<int>(j));
+          if (edge_ids != nullptr) {
+            edge_ids[static_cast<std::size_t>(a) * members.size() + j] = ids[i];
+            edge_ids[j * members.size() + static_cast<std::size_t>(a)] = ids[i];
+          }
+        }
         ++i;
         ++j;
       }
@@ -46,8 +55,9 @@ void build_local_graph_cd(const Graph& g, std::span<const node_t> members,
 }  // namespace
 
 CliqueResult c3list_cd_search(const Graph& g, const EdgeOrderResult& order, int k,
-                              const CliqueCallback* callback, StopSource& stop,
+                              const CliqueSink& sink, StopSource& stop,
                               const CliqueOptions& opts, QueryScratch& scratch) {
+  const CliqueCallback* callback = sink.callback;
   CliqueResult result;
   result.stats.order_quality = order.sigma;
 
@@ -65,7 +75,7 @@ CliqueResult c3list_cd_search(const Graph& g, const EdgeOrderResult& order, int 
   result.stats.gamma = gamma;
 
   const auto endpoints = g.endpoints();
-  scratch.reset_query(stop, callback);
+  scratch.reset_query(stop, sink);
 
   parallel_for_dynamic(
       0, tasks.size(),
@@ -74,20 +84,30 @@ CliqueResult c3list_cd_search(const Graph& g, const EdgeOrderResult& order, int 
         if (w.ctx.poll_stop()) return;
         const edge_t e = tasks[t];
         const auto members = order.candidates(e);
+        CliqueTally* tally = w.ctx.tally;
         // Algorithm 3, line 4: V' <- community of e among later edges.
-        build_local_graph_cd(g, members, order.pos, order.pos[e], w.lg);
+        build_local_graph_cd(
+            g, members, order.pos, order.pos[e], w.lg,
+            tally != nullptr ? w.ctx.begin_tally_task(static_cast<int>(members.size())) : nullptr);
         w.ctx.lg = &w.lg;
         w.ctx.prune = opts.distance_pruning;
         w.ctx.ctr = &w.ctr;
+        // V'(e) members are original vertex ids already.
+        w.ctx.member_to_orig = members.data();
         if (callback != nullptr) {
-          // V'(e) members are original vertex ids already.
-          w.ctx.member_to_orig = members.data();
           w.ctx.clique_stack.clear();
           w.ctx.clique_stack.push_back(endpoints[e].u);
           w.ctx.clique_stack.push_back(endpoints[e].v);
         }
         // Algorithm 3, line 5: recurse with c = k - 2.
-        w.count += search_cliques_all(w.ctx, k - 2, opts.triangle_growth);
+        const count_t found = search_cliques_all(w.ctx, k - 2, opts.triangle_growth);
+        w.count += found;
+        if (tally != nullptr) {
+          const node_t outer[] = {endpoints[e].u, endpoints[e].v};
+          flush_task_tally(w.ctx, found, outer, e, [&](std::size_t i, int a) {
+            return g.edge_id(outer[i], members[static_cast<std::size_t>(a)]);
+          });
+        }
       },
       1);
 
@@ -107,7 +127,7 @@ CliqueResult c3list_cd_count_with_order(const Graph& g, int k, const EdgeOrderRe
   }
   QueryScratch scratch;
   StopSource stop;
-  return c3list_cd_search(g, order, k, nullptr, stop, opts, scratch);
+  return c3list_cd_search(g, order, k, CliqueSink{}, stop, opts, scratch);
 }
 
 CliqueResult c3list_cd_count(const Graph& g, int k, const CliqueOptions& opts) {

@@ -35,10 +35,10 @@ namespace c3 {
                                                       const CliqueOptions& opts = {});
 
 /// Search half of Algorithm 3 on a prepared edge order: requires k >= 3.
-/// `callback` may be null (counting); `stop` and `scratch` are as in
-/// c3list_search.
+/// `sink`, `stop` and `scratch` are as in c3list_search (edge slots are
+/// graph edge ids).
 [[nodiscard]] CliqueResult c3list_cd_search(const Graph& g, const EdgeOrderResult& order, int k,
-                                            const CliqueCallback* callback, StopSource& stop,
+                                            const CliqueSink& sink, StopSource& stop,
                                             const CliqueOptions& opts, QueryScratch& scratch);
 
 }  // namespace c3

@@ -1,14 +1,17 @@
 // Shared types of the clique-listing algorithms: options, result statistics,
-// and the listing callback.
+// the listing callback, and the sinks a search feeds (count, list, tally).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <vector>
 
 #include "graph/types.hpp"
 
 namespace c3 {
+
+class Digraph;
 
 /// Which k-clique algorithm to run (see DESIGN.md Section 1, the system
 /// inventory).
@@ -120,5 +123,39 @@ inline void merge_stats(CliqueResult& result, count_t count, const LocalCounters
 /// to stop early (used by the decision/witness queries). May be invoked
 /// concurrently from multiple workers.
 using CliqueCallback = std::function<bool(std::span<const node_t>)>;
+
+/// One worker's aggregation-mode output: how many cliques contain each
+/// vertex and each edge. The leaves of the search add whole candidate sets
+/// to these arrays in closed form instead of visiting cliques one by one.
+struct CliqueTally {
+  std::vector<count_t> vertex;  ///< by original vertex id
+  /// By edge slot: the DAG arc id for the orientation-based searches
+  /// (CliqueTallies::arcs), the graph edge id otherwise. Empty when only
+  /// per-vertex counts are wanted.
+  std::vector<count_t> edge;
+};
+
+/// One aggregation query's tallies: a CliqueTally per worker, allocated for
+/// that query alone and summed once after the search.
+struct CliqueTallies {
+  /// `workers` tallies of `vertices` vertex counters and `edge_slots` edge
+  /// counters each (0 = per-vertex counts only).
+  CliqueTallies(std::size_t workers, std::size_t vertices, std::size_t edge_slots)
+      : per_worker(workers, CliqueTally{std::vector<count_t>(vertices),
+                                        std::vector<count_t>(edge_slots)}) {}
+
+  std::vector<CliqueTally> per_worker;
+  /// Set by a search whose edge slots are arc ids of this DAG; null when
+  /// they are graph edge ids.
+  const Digraph* arcs = nullptr;
+};
+
+/// Where a search's cliques go: counted only (both null), handed one at a
+/// time to a listing callback, or tallied per vertex and per edge inside
+/// the search (aggregation mode).
+struct CliqueSink {
+  const CliqueCallback* callback = nullptr;
+  CliqueTallies* tallies = nullptr;
+};
 
 }  // namespace c3

@@ -29,12 +29,18 @@ namespace c3 {
 namespace {
 
 /// Trivial clique sizes that need no prepared artifacts. k <= 0 -> none;
-/// k == 1 -> vertices; k == 2 -> edges.
-bool trivial_k(const Graph& g, int k, const CliqueCallback* callback, CliqueResult& out) {
+/// k == 1 -> vertices; k == 2 -> edges. Aggregation fills the first tally
+/// directly, by graph edge id.
+bool trivial_k(const Graph& g, int k, const CliqueSink& sink, CliqueResult& out) {
   if (k > 2) return false;
   if (k <= 0) return true;
+  const CliqueCallback* callback = sink.callback;
+  CliqueTally* tally = sink.tallies != nullptr ? &sink.tallies->per_worker.front() : nullptr;
   if (k == 1) {
     out.count = g.num_nodes();
+    if (tally != nullptr) {
+      for (node_t v = 0; v < g.num_nodes(); ++v) ++tally->vertex[v];
+    }
     if (callback != nullptr) {
       out.count = 0;
       for (node_t v = 0; v < g.num_nodes(); ++v) {
@@ -47,6 +53,10 @@ bool trivial_k(const Graph& g, int k, const CliqueCallback* callback, CliqueResu
     return true;
   }
   out.count = g.num_edges();
+  if (tally != nullptr) {
+    for (node_t v = 0; v < g.num_nodes(); ++v) tally->vertex[v] += g.degree(v);
+    for (count_t& e : tally->edge) ++e;
+  }
   if (callback != nullptr) {
     out.count = 0;
     for (const Edge& e : g.endpoints()) {
@@ -57,6 +67,29 @@ bool trivial_k(const Graph& g, int k, const CliqueCallback* callback, CliqueResu
   }
   out.stats.cliques = out.count;
   return true;
+}
+
+/// Sums the workers' tallies of one aggregation query into per-vertex
+/// counts, or per-edge counts when `edges` is set, mapping arc slots to
+/// graph edge ids. Folds into the first worker's array and frees each other
+/// one as it goes, so the merge never holds more arrays than the search did.
+std::vector<count_t> merge_tallies(const Graph& g, CliqueTallies& t, bool edges) {
+  const auto part = [edges](CliqueTally& w) -> std::vector<count_t>& {
+    return edges ? w.edge : w.vertex;
+  };
+  std::vector<count_t>& sum = part(t.per_worker.front());
+  for (std::size_t w = 1; w < t.per_worker.size(); ++w) {
+    std::vector<count_t> other = std::move(part(t.per_worker[w]));
+    parallel_for(0, sum.size(), [&](std::size_t i) { sum[i] += other[i]; });
+  }
+  if (!edges || t.arcs == nullptr) return std::move(sum);
+  const Digraph& d = *t.arcs;
+  std::vector<count_t> out(sum.size());
+  parallel_for(0, sum.size(), [&](std::size_t arc) {
+    if (sum[arc] == 0) return;
+    out[g.edge_id(d.original_id(d.arc_source(arc)), d.original_id(d.arc_target(arc)))] = sum[arc];
+  });
+  return out;
 }
 
 }  // namespace
@@ -279,39 +312,44 @@ double PreparedGraph::cost_bound() const noexcept {
   return bound;
 }
 
-CliqueResult PreparedGraph::dispatch(int k, const CliqueCallback* callback, StopSource& stop,
+CliqueResult PreparedGraph::dispatch(int k, const CliqueSink& sink, StopSource& stop,
                                      double& prep) const {
+  // The orientation-based searches tally edges by arc id of their DAG.
+  const auto arc_slots = [&](const Digraph& d) -> const Digraph& {
+    if (sink.tallies != nullptr) sink.tallies->arcs = &d;
+    return d;
+  };
   switch (opts_.algorithm) {
     case Algorithm::C3List: {
-      const Digraph& d = dag(prep);
+      const Digraph& d = arc_slots(dag(prep));
       const EdgeCommunities& c = communities(prep);
       const ScratchLease lease = memo_->pool.acquire();
-      return c3list_search(d, c, k, callback, stop, opts_, *lease);
+      return c3list_search(d, c, k, sink, stop, opts_, *lease);
     }
     case Algorithm::C3ListCD: {
       const EdgeOrderResult& order = edge_order(prep);
       const ScratchLease lease = memo_->pool.acquire();
-      return c3list_cd_search(*g_, order, k, callback, stop, opts_, *lease);
+      return c3list_cd_search(*g_, order, k, sink, stop, opts_, *lease);
     }
     case Algorithm::Hybrid: {
-      const Digraph& d = dag(prep);
+      const Digraph& d = arc_slots(dag(prep));
       const ScratchLease lease = memo_->pool.acquire();
-      return hybrid_search(d, k, callback, stop, opts_, *lease);
+      return hybrid_search(d, k, sink, stop, opts_, *lease);
     }
     case Algorithm::KCList: {
-      const Digraph& d = dag(prep);
+      const Digraph& d = arc_slots(dag(prep));
       const ScratchLease lease = memo_->pool.acquire();
-      return kclist_search(d, k, callback, stop, opts_, *lease);
+      return kclist_search(d, k, sink, stop, opts_, *lease);
     }
     case Algorithm::ArbCount: {
-      const Digraph& d = dag(prep);
+      const Digraph& d = arc_slots(dag(prep));
       const ScratchLease lease = memo_->pool.acquire();
-      return arbcount_search(d, k, callback, stop, opts_, *lease);
+      return arbcount_search(d, k, sink, stop, opts_, *lease);
     }
     case Algorithm::BruteForce: {
       CliqueResult r;
       WallTimer timer;
-      r.count = brute_force_search(*g_, k, callback, stop);
+      r.count = brute_force_search(*g_, k, sink, stop);
       r.stats.cliques = r.count;
       r.stats.search_seconds = timer.seconds();
       return r;
@@ -320,11 +358,10 @@ CliqueResult PreparedGraph::dispatch(int k, const CliqueCallback* callback, Stop
   throw std::invalid_argument("PreparedGraph: unknown algorithm");
 }
 
-CliqueResult PreparedGraph::execute(int k, const CliqueCallback* callback,
-                                    StopSource& stop) const {
+CliqueResult PreparedGraph::execute(int k, const CliqueSink& sink, StopSource& stop) const {
   double prep = 0.0;
   CliqueResult result;
-  if (!trivial_k(*g_, k, callback, result)) result = dispatch(k, callback, stop, prep);
+  if (!trivial_k(*g_, k, sink, result)) result = dispatch(k, sink, stop, prep);
   // Only preparation performed during *this* query; 0 on reuse or when
   // another query built the artifacts while we waited.
   result.stats.preprocess_seconds = prep;
@@ -347,7 +384,7 @@ Answer PreparedGraph::run(const Query& query) const {
 
   switch (query.kind) {
     case QueryKind::Count: {
-      const CliqueResult r = execute(query.k, nullptr, stop);
+      const CliqueResult r = execute(query.k, CliqueSink{}, stop);
       answer.count = r.count;
       answer.stats = r.stats;
       answer.truncated = stop.limit_reached();
@@ -368,7 +405,7 @@ Answer PreparedGraph::run(const Query& query) const {
         answer.cliques.emplace_back(clique.begin(), clique.end());
         return true;
       };
-      const CliqueResult r = execute(query.k, &collect, stop);
+      const CliqueResult r = execute(query.k, CliqueSink{&collect, nullptr}, stop);
       answer.stats = r.stats;
       answer.count = static_cast<count_t>(answer.cliques.size());
       answer.truncated = stop.limit_reached() || excess;
@@ -387,7 +424,7 @@ Answer PreparedGraph::run(const Query& query) const {
         if (want && !witness.has_value()) witness.emplace(clique.begin(), clique.end());
         return false;  // stop the enumeration
       };
-      const CliqueResult r = execute(query.k, &stop_at_first, stop);
+      const CliqueResult r = execute(query.k, CliqueSink{&stop_at_first, nullptr}, stop);
       answer.stats = r.stats;
       answer.found = found;
       if (witness.has_value()) answer.witness = std::move(*witness);
@@ -395,38 +432,16 @@ Answer PreparedGraph::run(const Query& query) const {
       answer.truncated = !found && stop.limit_reached();
       break;
     }
-    case QueryKind::PerVertexCounts: {
-      std::vector<std::atomic<count_t>> acc(g_->num_nodes());
-      const CliqueCallback tally = [&](std::span<const node_t> clique) {
-        for (const node_t v : clique) acc[v].fetch_add(1, std::memory_order_relaxed);
-        return true;
-      };
-      const CliqueResult r = execute(query.k, &tally, stop);
-      answer.stats = r.stats;
-      answer.per_counts.resize(g_->num_nodes());
-      for (node_t v = 0; v < g_->num_nodes(); ++v) {
-        answer.per_counts[v] = acc[v].load(std::memory_order_relaxed);
-      }
-      answer.truncated = stop.limit_reached();
-      break;
-    }
+    case QueryKind::PerVertexCounts:
     case QueryKind::PerEdgeCounts: {
-      std::vector<std::atomic<count_t>> acc(g_->num_edges());
-      const CliqueCallback tally = [&](std::span<const node_t> clique) {
-        for (std::size_t i = 0; i < clique.size(); ++i) {
-          for (std::size_t j = i + 1; j < clique.size(); ++j) {
-            const edge_t e = g_->edge_id(clique[i], clique[j]);
-            acc[e].fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-        return true;
-      };
-      const CliqueResult r = execute(query.k, &tally, stop);
+      // Aggregation inside the search: each worker tallies into its own
+      // dense arrays, summed once below.
+      const bool edges = query.kind == QueryKind::PerEdgeCounts;
+      CliqueTallies tallies(static_cast<std::size_t>(num_workers()), g_->num_nodes(),
+                            edges ? g_->num_edges() : 0);
+      const CliqueResult r = execute(query.k, CliqueSink{nullptr, &tallies}, stop);
       answer.stats = r.stats;
-      answer.per_counts.resize(g_->num_edges());
-      for (edge_t e = 0; e < g_->num_edges(); ++e) {
-        answer.per_counts[e] = acc[e].load(std::memory_order_relaxed);
-      }
+      answer.per_counts = merge_tallies(*g_, tallies, edges);
       answer.truncated = stop.limit_reached();
       break;
     }
@@ -451,7 +466,7 @@ Answer PreparedGraph::run(const Query& query) const {
           // Each k's search reads the limits as it begins, so an expired
           // budget ends the sweep before k's first task; a cut k's partial
           // count is dropped.
-          const CliqueResult r = dispatch(k, nullptr, stop, prep);
+          const CliqueResult r = dispatch(k, CliqueSink{}, stop, prep);
           out.search_seconds += r.stats.search_seconds;
           if (stop.limit_reached()) {
             answer.truncated = true;
@@ -575,7 +590,7 @@ void PreparedGraph::run_max_clique(const Query& query, Answer& answer, StopSourc
       if (want && !witness.has_value()) witness.emplace(clique.begin(), clique.end());
       return false;
     };
-    (void)execute(static_cast<int>(size), &stop_at_first, stop);
+    (void)execute(static_cast<int>(size), CliqueSink{&stop_at_first, nullptr}, stop);
     if (!found) return std::nullopt;
     if (!want) return std::vector<node_t>{};  // marker: found, witness unwanted
     return witness;
@@ -625,7 +640,7 @@ CliqueResult PreparedGraph::list(int k, const CliqueCallback& callback) const {
   // named method that is not a Query wrapper (a std::function cannot
   // round-trip through the Query value type).
   StopSource stop;
-  return execute(k, &callback, stop);
+  return execute(k, CliqueSink{&callback, nullptr}, stop);
 }
 
 CliqueSpectrum PreparedGraph::spectrum(int kmax) const {

@@ -183,9 +183,8 @@ class PreparedGraph {
   // *this call* — the building query; threads that merely wait on the latch
   // add nothing. execute() forwards the sum into stats.preprocess_seconds.
   // `stop` is the query's stop source; each search begins on it afresh.
-  [[nodiscard]] CliqueResult execute(int k, const CliqueCallback* callback,
-                                     StopSource& stop) const;
-  [[nodiscard]] CliqueResult dispatch(int k, const CliqueCallback* callback, StopSource& stop,
+  [[nodiscard]] CliqueResult execute(int k, const CliqueSink& sink, StopSource& stop) const;
+  [[nodiscard]] CliqueResult dispatch(int k, const CliqueSink& sink, StopSource& stop,
                                       double& prep) const;
   void run_max_clique(const Query& query, Answer& answer, StopSource& stop) const;
   [[nodiscard]] const Digraph& dag(double& prep) const;

@@ -80,8 +80,9 @@ void local_degeneracy_order(const LocalGraph& lg, std::vector<int>& order,
 
 }  // namespace
 
-CliqueResult hybrid_search(const Digraph& dag, int k, const CliqueCallback* callback,
-                           StopSource& stop, const CliqueOptions& opts, QueryScratch& scratch) {
+CliqueResult hybrid_search(const Digraph& dag, int k, const CliqueSink& sink, StopSource& stop,
+                           const CliqueOptions& opts, QueryScratch& scratch) {
+  const CliqueCallback* callback = sink.callback;
   CliqueResult result;
   result.stats.order_quality = dag.max_out_degree();
   result.stats.gamma = result.stats.order_quality;
@@ -89,7 +90,7 @@ CliqueResult hybrid_search(const Digraph& dag, int k, const CliqueCallback* call
   WallTimer search_timer;
   const node_t n = dag.num_nodes();
   result.stats.top_level_tasks = n;
-  scratch.reset_query(stop, callback);
+  scratch.reset_query(stop, sink);
 
   parallel_for_dynamic(
       0, n,
@@ -99,29 +100,43 @@ CliqueResult hybrid_search(const Digraph& dag, int k, const CliqueCallback* call
         CliqueScratch& w = scratch.local();
         if (w.ctx.poll_stop()) return;
 
+        CliqueTally* tally = w.ctx.tally;
+        const int sz = static_cast<int>(members.size());
+        edge_t* slots = tally != nullptr ? w.ctx.begin_tally_task(sz) : nullptr;
+        if (slots != nullptr) {
+          w.edge_slots_aux.resize(static_cast<std::size_t>(sz) * static_cast<std::size_t>(sz));
+        }
         // Induce G[N+(v)] in approximate-rank space...
-        build_local_graph(dag, members, w.lg_aux);
+        build_local_graph(dag, members, w.lg_aux,
+                          slots != nullptr ? w.edge_slots_aux.data() : nullptr);
         // ...compute its exact degeneracy order...
         local_degeneracy_order(w.lg_aux, w.inner_order, w.deg);
-        const int sz = w.lg_aux.size();
         w.inner_rank.assign(static_cast<std::size_t>(sz), 0);
         for (int r = 0; r < sz; ++r)
           w.inner_rank[static_cast<std::size_t>(w.inner_order[static_cast<std::size_t>(r)])] = r;
-        // ...and rename the subgraph into inner-rank space.
+        // ...and rename the subgraph (and its edge slots) into inner-rank space.
         w.lg.reset(sz);
         for (int a = 0; a < sz; ++a) {
           bits::for_each_bit(w.lg_aux.row(a), static_cast<std::size_t>(w.lg_aux.words()),
                              [&](std::size_t b) {
-                               if (static_cast<int>(b) > a)
-                                 w.lg.add_edge(w.inner_rank[static_cast<std::size_t>(a)],
-                                               w.inner_rank[b]);
+                               if (static_cast<int>(b) <= a) return;
+                               const auto ra = static_cast<std::size_t>(
+                                   w.inner_rank[static_cast<std::size_t>(a)]);
+                               const auto rb = static_cast<std::size_t>(w.inner_rank[b]);
+                               w.lg.add_edge(static_cast<int>(ra), static_cast<int>(rb));
+                               if (slots == nullptr) return;
+                               const edge_t arc =
+                                   w.edge_slots_aux[static_cast<std::size_t>(a) *
+                                                        static_cast<std::size_t>(sz) + b];
+                               slots[ra * static_cast<std::size_t>(sz) + rb] = arc;
+                               slots[rb * static_cast<std::size_t>(sz) + ra] = arc;
                              });
         }
 
         w.ctx.lg = &w.lg;
         w.ctx.prune = opts.distance_pruning;
         w.ctx.ctr = &w.ctr;
-        if (callback != nullptr) {
+        if (callback != nullptr || tally != nullptr) {
           w.member_orig.resize(members.size());
           for (int r = 0; r < sz; ++r) {
             const int approx_local = w.inner_order[static_cast<std::size_t>(r)];
@@ -129,12 +144,24 @@ CliqueResult hybrid_search(const Digraph& dag, int k, const CliqueCallback* call
                 dag.original_id(members[static_cast<std::size_t>(approx_local)]);
           }
           w.ctx.member_to_orig = w.member_orig.data();
+        }
+        if (callback != nullptr) {
           w.ctx.clique_stack.clear();
           w.ctx.clique_stack.push_back(dag.original_id(static_cast<node_t>(v)));
         }
 
         // Search (k-1)-cliques in G[N+(v)]; each completes with v.
-        w.count += search_cliques_all(w.ctx, k - 1, opts.triangle_growth);
+        const count_t found = search_cliques_all(w.ctx, k - 1, opts.triangle_growth);
+        w.count += found;
+        if (tally != nullptr) {
+          // Inner rank r is members[inner_order[r]], the arc from v at that
+          // position of its out-list.
+          const node_t outer[] = {dag.original_id(static_cast<node_t>(v))};
+          const edge_t first_arc = dag.raw_out_offsets()[v];
+          flush_task_tally(w.ctx, found, outer, 0, [&](std::size_t, int r) {
+            return first_arc + static_cast<edge_t>(w.inner_order[static_cast<std::size_t>(r)]);
+          });
+        }
       },
       1);
 

@@ -26,10 +26,11 @@ namespace c3 {
                                        const CliqueOptions& opts = {});
 
 /// Search half on a prepared (approximate-order) orientation: requires
-/// k >= 3; computes the exact inner order per out-neighborhood. `callback`
-/// may be null (counting); `stop` and `scratch` are as in c3list_search.
-[[nodiscard]] CliqueResult hybrid_search(const Digraph& dag, int k,
-                                         const CliqueCallback* callback, StopSource& stop,
-                                         const CliqueOptions& opts, QueryScratch& scratch);
+/// k >= 3; computes the exact inner order per out-neighborhood. `sink`,
+/// `stop` and `scratch` are as in c3list_search (edge slots are arc ids of
+/// `dag`).
+[[nodiscard]] CliqueResult hybrid_search(const Digraph& dag, int k, const CliqueSink& sink,
+                                         StopSource& stop, const CliqueOptions& opts,
+                                         QueryScratch& scratch);
 
 }  // namespace c3

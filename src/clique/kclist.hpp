@@ -28,10 +28,10 @@ namespace c3 {
 [[nodiscard]] CliqueResult kclist_list(const Graph& g, int k, const CliqueCallback& callback,
                                        const CliqueOptions& opts = {});
 
-/// Search half on a prepared orientation: requires k >= 3. `callback` may be
-/// null (counting); `stop` and `scratch` are as in c3list_search.
-[[nodiscard]] CliqueResult kclist_search(const Digraph& dag, int k,
-                                         const CliqueCallback* callback, StopSource& stop,
-                                         const CliqueOptions& opts, QueryScratch& scratch);
+/// Search half on a prepared orientation: requires k >= 3. `sink`, `stop`
+/// and `scratch` are as in c3list_search (edge slots are arc ids of `dag`).
+[[nodiscard]] CliqueResult kclist_search(const Digraph& dag, int k, const CliqueSink& sink,
+                                         StopSource& stop, const CliqueOptions& opts,
+                                         QueryScratch& scratch);
 
 }  // namespace c3

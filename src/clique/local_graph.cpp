@@ -24,11 +24,13 @@ void LocalGraph::reset(int n) {
   dirty_rows_.reserve(static_cast<std::size_t>(n));  // keeps mark_dirty allocation-free
 }
 
-void build_local_graph(const Digraph& dag, std::span<const node_t> members, LocalGraph& lg) {
+void build_local_graph(const Digraph& dag, std::span<const node_t> members, LocalGraph& lg,
+                       edge_t* arc_ids) {
   const int n = static_cast<int>(members.size());
   lg.reset(n);
   for (int a = 0; a < n; ++a) {
-    const auto out = dag.out_neighbors(members[static_cast<std::size_t>(a)]);
+    const node_t u = members[static_cast<std::size_t>(a)];
+    const auto out = dag.out_neighbors(u);
     // Two-pointer walk: members are sorted ascending and out-neighbors of
     // members[a] all rank above it, so matches have local id > a.
     std::size_t i = 0;
@@ -40,6 +42,11 @@ void build_local_graph(const Digraph& dag, std::span<const node_t> members, Loca
         ++j;
       } else {
         lg.add_edge(a, static_cast<int>(j));
+        if (arc_ids != nullptr) {
+          const edge_t arc = dag.raw_out_offsets()[u] + i;
+          arc_ids[static_cast<std::size_t>(a) * members.size() + j] = arc;
+          arc_ids[j * members.size() + static_cast<std::size_t>(a)] = arc;
+        }
         ++i;
         ++j;
       }

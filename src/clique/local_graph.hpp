@@ -93,8 +93,11 @@ class LocalGraph {
 /// Populates `lg` with the subgraph of `dag` induced by `members` (global
 /// ranks, sorted ascending). Every arc between members is found in the
 /// out-list of its lower endpoint via a sorted two-pointer intersection:
-/// O(sum over members of (out-degree + |members|)).
-void build_local_graph(const Digraph& dag, std::span<const node_t> members, LocalGraph& lg);
+/// O(sum over members of (out-degree + |members|)). When `arc_ids` is
+/// non-null it also records each local edge's DAG arc id at a * n + b and
+/// b * n + a (n = |members|), the edge slots of aggregation mode.
+void build_local_graph(const Digraph& dag, std::span<const node_t> members, LocalGraph& lg,
+                       edge_t* arc_ids = nullptr);
 
 /// Dense-vs-CSR subproblem selection: true when a subproblem over
 /// `nvertices` vertices with at most `arcs_upper` arcs is worth rebuilding

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <initializer_list>
+#include <type_traits>
+#include <vector>
 
 #include "util/bitkernels.hpp"
 #include "util/bitwords.hpp"
@@ -35,22 +38,102 @@ bool emit(SearchContext& ctx) {
   return (*ctx.callback)(std::span<const node_t>(ctx.clique_stack));
 }
 
-}  // namespace
+/// What the recursion does with the cliques it finds (SearchContext): count
+/// them, list them through the callback, or tally them per vertex and edge.
+/// A template parameter, so each mode's leaves carry no test of the others.
+enum class Mode { Count, List, Tally };
 
-void SearchContext::ensure_capacity(int gamma, int depth, int words) {
-  const auto g = static_cast<std::size_t>(std::max(gamma, 1));
-  const auto d = static_cast<std::size_t>(std::max(depth, 1));
-  const auto w = static_cast<std::size_t>(std::max(words, 1));
-  if (g <= cand_stride_ && w <= mask_stride_ && d <= depth_) return;
-  cand_stride_ = std::max(cand_stride_, g);
-  mask_stride_ = std::max(mask_stride_, w);
-  depth_ = std::max(depth_, d);
-  cand_pool_.assign(depth_ * cand_stride_, 0);
-  mask_pool_.assign(depth_ * mask_stride_, 0);
+/// Calls run(std::integral_constant<Mode, M>) with the context's mode M.
+template <typename Run>
+count_t with_mode(const SearchContext& ctx, Run&& run) {
+  if (ctx.callback != nullptr) return run(std::integral_constant<Mode, Mode::List>{});
+  if (ctx.tally != nullptr) return run(std::integral_constant<Mode, Mode::Tally>{});
+  return run(std::integral_constant<Mode, Mode::Count>{});
 }
 
-count_t search_cliques(SearchContext& ctx, std::span<const int> I, const std::uint64_t* I_mask,
-                       int c, int level) {
+/// Pushes local vertices onto the partial clique of a listing or tally
+/// search, and pops them again on scope exit.
+template <Mode M>
+class StackPush {
+ public:
+  StackPush(SearchContext& ctx, std::initializer_list<int> locals)
+      : ctx_(ctx), size_(locals.size()) {
+    for (const int a : locals) {
+      if constexpr (M == Mode::List) ctx_.clique_stack.push_back(ctx_.member_to_orig[a]);
+      if constexpr (M == Mode::Tally) ctx_.local_stack.push_back(a);
+    }
+  }
+  StackPush(const StackPush&) = delete;
+  StackPush& operator=(const StackPush&) = delete;
+  ~StackPush() {
+    if constexpr (M == Mode::List) ctx_.clique_stack.resize(ctx_.clique_stack.size() - size_);
+    if constexpr (M == Mode::Tally) ctx_.local_stack.resize(ctx_.local_stack.size() - size_);
+  }
+
+  /// Tally mode: credits the `found` cliques of the subtree below this push
+  /// to the pushed vertices, the edges among them, and their edges to the
+  /// older stack entries.
+  void credit(count_t found) {
+    static_assert(M == Mode::Tally);
+    if (found == 0) return;
+    const std::vector<int>& st = ctx_.local_stack;
+    const bool edges = ctx_.tally_edges();
+    for (std::size_t i = st.size() - size_; i < st.size(); ++i) {
+      ctx_.local_counts[static_cast<std::size_t>(st[i])] += found;
+      if (!edges) continue;
+      for (std::size_t j = 0; j < i; ++j) ctx_.tally->edge[ctx_.edge_slot(st[j], st[i])] += found;
+    }
+  }
+
+ private:
+  SearchContext& ctx_;
+  std::size_t size_;
+};
+
+/// Tally-mode c == 1 leaf: each candidate in `mask` closes one clique with
+/// the stack. Returns r = |mask|.
+count_t tally_leaf1(SearchContext& ctx, const std::uint64_t* mask) {
+  const auto words = static_cast<std::size_t>(ctx.lg->words());
+  const bool edges = ctx.tally_edges();
+  count_t found = 0;
+  bits::for_each_bit(mask, words, [&](std::size_t a) {
+    ++found;
+    ++ctx.local_counts[a];
+    if (!edges) return;
+    for (const int s : ctx.local_stack)
+      ++ctx.tally->edge[ctx.edge_slot(s, static_cast<int>(a))];
+  });
+  ctx.ctr->leaf_work += found;
+  return found;
+}
+
+/// Tally-mode c == 2 leaf: each edge inside `mask` closes one clique with
+/// the stack, so a candidate a lies in d(a) = |N(a) ∩ mask| of them.
+/// Returns the number of edges inside the mask.
+count_t tally_leaf2(SearchContext& ctx, const std::uint64_t* mask) {
+  const LocalGraph& lg = *ctx.lg;
+  const auto words = static_cast<std::size_t>(lg.words());
+  const bool edges = ctx.tally_edges();
+  count_t twice = 0;
+  bits::for_each_bit(mask, words, [&](std::size_t abit) {
+    const int a = static_cast<int>(abit);
+    const count_t d = kern::popcount_and(lg.row(a), mask, words);
+    if (d == 0) return;
+    twice += d;
+    ctx.local_counts[abit] += d;
+    if (!edges) return;
+    for (const int s : ctx.local_stack) ctx.tally->edge[ctx.edge_slot(s, a)] += d;
+    kern::for_each_bit_and(lg.row(a), mask, words, [&](std::size_t b) {
+      if (static_cast<int>(b) > a) ++ctx.tally->edge[ctx.edge_slot(a, static_cast<int>(b))];
+    });
+  });
+  ctx.ctr->leaf_work += twice / 2;
+  return twice / 2;
+}
+
+template <Mode M>
+count_t pairs(SearchContext& ctx, std::span<const int> I, const std::uint64_t* I_mask, int c,
+              int level) {
   assert(c >= 1);
   LocalCounters& ctr = *ctx.ctr;
   ++ctr.recursive_calls;
@@ -58,12 +141,12 @@ count_t search_cliques(SearchContext& ctx, std::span<const int> I, const std::ui
 
   const LocalGraph& lg = *ctx.lg;
   const int words = lg.words();
-  const bool listing = ctx.callback != nullptr;
 
   // Base case c == 1 (Algorithm 2, line 2): every candidate is a clique.
   if (c == 1) {
+    if constexpr (M == Mode::Tally) return tally_leaf1(ctx, I_mask);
     ctr.leaf_work += I.size();
-    if (!listing) return static_cast<count_t>(I.size());
+    if constexpr (M == Mode::Count) return static_cast<count_t>(I.size());
     count_t emitted = 0;
     for (const int a : I) {
       if (ctx.poll_stop()) break;
@@ -81,7 +164,11 @@ count_t search_cliques(SearchContext& ctx, std::span<const int> I, const std::ui
 
   // Base case c == 2 (line 4): every edge inside I is a clique.
   if (c == 2) {
-    if (!listing) {
+    if constexpr (M == Mode::Tally) {
+      ctr.intersection_words += I.size() * static_cast<std::size_t>(words);
+      return tally_leaf2(ctx, I_mask);
+    }
+    if constexpr (M == Mode::Count) {
       count_t twice = 0;
       for (const int a : I) {
         twice += kern::popcount_and(lg.row(a), I_mask, static_cast<std::size_t>(words));
@@ -129,25 +216,43 @@ count_t search_cliques(SearchContext& ctx, std::span<const int> I, const std::ui
           intersect_community(row_a, lg.row(b), I_mask, words, a, b, community, ctr);
       if (isz < c - 2) continue;  // too few candidates to finish the clique
 
-      if (c - 2 == 1 && !listing) {
-        // Leaf shortcut: each surviving candidate completes one clique.
-        ++ctr.recursive_calls;
-        ctr.leaf_work += static_cast<count_t>(isz);
-        total += static_cast<count_t>(isz);
-        continue;
+      if constexpr (M == Mode::Count) {
+        if (c - 2 == 1) {
+          // Leaf shortcut: each surviving candidate completes one clique.
+          ++ctr.recursive_calls;
+          ctr.leaf_work += static_cast<count_t>(isz);
+          total += static_cast<count_t>(isz);
+          continue;
+        }
+        if (c - 2 == 2) {
+          // Leaf shortcut: count the edges inside the community mask directly.
+          ++ctr.recursive_calls;
+          count_t twice = 0;
+          bits::for_each_bit(community, static_cast<std::size_t>(words), [&](std::size_t x) {
+            twice += kern::popcount_and(lg.row(static_cast<int>(x)), community,
+                                        static_cast<std::size_t>(words));
+          });
+          ctr.intersection_words += static_cast<count_t>(isz) * static_cast<count_t>(words);
+          ctr.leaf_work += twice / 2;
+          total += twice / 2;
+          continue;
+        }
       }
-      if (c - 2 == 2 && !listing) {
-        // Leaf shortcut: count the edges inside the community mask directly.
-        ++ctr.recursive_calls;
-        count_t twice = 0;
-        bits::for_each_bit(community, static_cast<std::size_t>(words), [&](std::size_t x) {
-          twice += kern::popcount_and(lg.row(static_cast<int>(x)), community,
-                                      static_cast<std::size_t>(words));
-        });
-        ctr.intersection_words += static_cast<count_t>(isz) * static_cast<count_t>(words);
-        ctr.leaf_work += twice / 2;
-        total += twice / 2;
-        continue;
+      if constexpr (M == Mode::Tally) {
+        if (c - 2 <= 2) {
+          // The same leaf shortcuts, tallied on the community mask.
+          ++ctr.recursive_calls;
+          if (ctx.poll_stop()) break;
+          StackPush<M> push(ctx, {a, b});
+          if (c - 2 == 2) {
+            ctr.intersection_words += static_cast<count_t>(isz) * static_cast<count_t>(words);
+          }
+          const count_t found =
+              c - 2 == 1 ? tally_leaf1(ctx, community) : tally_leaf2(ctx, community);
+          push.credit(found);
+          total += found;
+          continue;
+        }
       }
 
       // Materialize the new candidate array (ascending == rank order) and
@@ -156,26 +261,23 @@ count_t search_cliques(SearchContext& ctx, std::span<const int> I, const std::ui
       int pos = 0;
       bits::for_each_bit(community, static_cast<std::size_t>(words),
                          [&](std::size_t x) { next[pos++] = static_cast<int>(x); });
-      if (listing) {
-        ctx.clique_stack.push_back(ctx.member_to_orig[a]);
-        ctx.clique_stack.push_back(ctx.member_to_orig[b]);
-      }
-      total += search_cliques(ctx, std::span<const int>(next, static_cast<std::size_t>(pos)),
-                              community, c - 2, level + 1);
-      if (listing) {
-        ctx.clique_stack.pop_back();
-        ctx.clique_stack.pop_back();
-      }
+      StackPush<M> push(ctx, {a, b});
+      const count_t found = pairs<M>(
+          ctx, std::span<const int>(next, static_cast<std::size_t>(pos)), community, c - 2,
+          level + 1);
+      if constexpr (M == Mode::Tally) push.credit(found);
+      total += found;
     }
   }
   return total;
 }
 
-count_t search_cliques_tri(SearchContext& ctx, std::span<const int> I,
-                           const std::uint64_t* I_mask, int c, int level) {
+template <Mode M>
+count_t triangles(SearchContext& ctx, std::span<const int> I, const std::uint64_t* I_mask, int c,
+                  int level) {
   // The pair-growth bases already handle c <= 3 (a triangle is counted at
   // its supporting pair with one popcount).
-  if (c <= 3) return search_cliques(ctx, I, I_mask, c, level);
+  if (c <= 3) return pairs<M>(ctx, I, I_mask, c, level);
 
   LocalCounters& ctr = *ctx.ctr;
   ++ctr.recursive_calls;
@@ -183,7 +285,6 @@ count_t search_cliques_tri(SearchContext& ctx, std::span<const int> I,
 
   const LocalGraph& lg = *ctx.lg;
   const int words = lg.words();
-  const bool listing = ctx.callback != nullptr;
   const int t = static_cast<int>(I.size());
   const int gap = ctx.prune ? c - 2 : 0;
   std::uint64_t* community = ctx.mask_at(level);
@@ -211,50 +312,43 @@ count_t search_cliques_tri(SearchContext& ctx, std::span<const int> I,
             lg.row(x), community, inner, static_cast<std::size_t>(words), xbit);
         if (isz < static_cast<std::uint64_t>(c - 3)) return;
 
-        if (c - 3 == 1 && !listing) {
-          ++ctr.recursive_calls;
-          ctr.leaf_work += isz;
-          total += isz;
-          return;
+        if constexpr (M == Mode::Count) {
+          if (c - 3 == 1) {
+            ++ctr.recursive_calls;
+            ctr.leaf_work += isz;
+            total += isz;
+            return;
+          }
+        }
+        if constexpr (M == Mode::Tally) {
+          if (c - 3 == 1) {
+            ++ctr.recursive_calls;
+            if (ctx.poll_stop()) return;
+            StackPush<M> push(ctx, {a, b, x});
+            const count_t found = tally_leaf1(ctx, inner);
+            push.credit(found);
+            total += found;
+            return;
+          }
         }
         int* next = ctx.cand_at(level);
         int pos = 0;
         bits::for_each_bit(inner, static_cast<std::size_t>(words),
                            [&](std::size_t y) { next[pos++] = static_cast<int>(y); });
-        if (listing) {
-          ctx.clique_stack.push_back(ctx.member_to_orig[a]);
-          ctx.clique_stack.push_back(ctx.member_to_orig[b]);
-          ctx.clique_stack.push_back(ctx.member_to_orig[x]);
-        }
-        total += search_cliques_tri(ctx, std::span<const int>(next, static_cast<std::size_t>(pos)),
-                                    inner, c - 3, level + 2);
-        if (listing) {
-          ctx.clique_stack.pop_back();
-          ctx.clique_stack.pop_back();
-          ctx.clique_stack.pop_back();
-        }
+        StackPush<M> push(ctx, {a, b, x});
+        const count_t found = triangles<M>(
+            ctx, std::span<const int>(next, static_cast<std::size_t>(pos)), inner, c - 3,
+            level + 2);
+        if constexpr (M == Mode::Tally) push.credit(found);
+        total += found;
       });
     }
   }
   return total;
 }
 
-count_t search_cliques_all(SearchContext& ctx, int c, bool triangle_growth) {
-  const int n = ctx.lg->size();
-  const int words = ctx.lg->words();
-  // Depth bound: c shrinks by >= 2 per level (pair growth) and the triangle
-  // variant consumes two mask slots per level; c + 3 covers both with slack.
-  ctx.ensure_capacity(n, c + 3, words);
-  int* universe = ctx.cand_at(c + 2);  // top level borrows the last slot
-  for (int i = 0; i < n; ++i) universe[i] = i;
-  std::uint64_t* mask = ctx.mask_at(c + 2);
-  bits::fill_prefix(mask, static_cast<std::size_t>(n), static_cast<std::size_t>(words));
-  const std::span<const int> all(universe, static_cast<std::size_t>(n));
-  return triangle_growth ? search_cliques_tri(ctx, all, mask, c, 0)
-                         : search_cliques(ctx, all, mask, c, 0);
-}
-
-count_t search_cliques_vertex(SearchContext& ctx, const std::uint64_t* mask, int c, int level) {
+template <Mode M>
+count_t vertices(SearchContext& ctx, const std::uint64_t* mask, int c, int level) {
   assert(c >= 1);
   LocalCounters& ctr = *ctx.ctr;
   ++ctr.recursive_calls;
@@ -262,20 +356,29 @@ count_t search_cliques_vertex(SearchContext& ctx, const std::uint64_t* mask, int
 
   const LocalGraph& lg = *ctx.lg;
   const auto words = static_cast<std::size_t>(lg.words());
-  const bool listing = ctx.callback != nullptr;
 
   // Base case c == 1: every remaining candidate completes a clique.
   if (c == 1) {
+    if constexpr (M == Mode::Tally) return tally_leaf1(ctx, mask);
     const count_t found = kern::popcount(mask, words);
     ctr.leaf_work += found;
-    if (!listing) return found;
-    bits::for_each_bit(mask, words, [&](std::size_t x) {
-      if (ctx.poll_stop()) return;
-      ctx.clique_stack.push_back(ctx.member_to_orig[x]);
-      if (!emit(ctx)) ctx.request_stop();
-      ctx.clique_stack.pop_back();
-    });
+    if constexpr (M == Mode::List) {
+      bits::for_each_bit(mask, words, [&](std::size_t x) {
+        if (ctx.poll_stop()) return;
+        ctx.clique_stack.push_back(ctx.member_to_orig[x]);
+        if (!emit(ctx)) ctx.request_stop();
+        ctx.clique_stack.pop_back();
+      });
+    }
     return found;
+  }
+
+  // Base case c == 2 in tally mode: every edge inside the mask is a clique.
+  if constexpr (M == Mode::Tally) {
+    if (c == 2) {
+      ctr.intersection_words += kern::popcount(mask, words) * words;
+      return tally_leaf2(ctx, mask);
+    }
   }
 
   std::uint64_t* next = ctx.mask_at(level);
@@ -291,7 +394,7 @@ count_t search_cliques_vertex(SearchContext& ctx, const std::uint64_t* mask, int
     if (c == 2) {
       ctr.leaf_work += isz;
       total += static_cast<count_t>(isz);
-      if (listing) {
+      if constexpr (M == Mode::List) {
         bits::for_each_bit(next, words, [&](std::size_t y) {
           if (ctx.poll_stop()) return;
           ctx.clique_stack.push_back(ctx.member_to_orig[x]);
@@ -305,12 +408,72 @@ count_t search_cliques_vertex(SearchContext& ctx, const std::uint64_t* mask, int
     }
     if (isz >= static_cast<std::uint64_t>(c - 1)) {
       ++ctr.edges_matched;
-      if (listing) ctx.clique_stack.push_back(ctx.member_to_orig[x]);
-      total += search_cliques_vertex(ctx, next, c - 1, level + 1);
-      if (listing) ctx.clique_stack.pop_back();
+      StackPush<M> push(ctx, {static_cast<int>(x)});
+      const count_t found = vertices<M>(ctx, next, c - 1, level + 1);
+      if constexpr (M == Mode::Tally) push.credit(found);
+      total += found;
     }
   });
   return total;
+}
+
+}  // namespace
+
+void SearchContext::ensure_capacity(int gamma, int depth, int words) {
+  const auto g = static_cast<std::size_t>(std::max(gamma, 1));
+  const auto d = static_cast<std::size_t>(std::max(depth, 1));
+  const auto w = static_cast<std::size_t>(std::max(words, 1));
+  if (g <= cand_stride_ && w <= mask_stride_ && d <= depth_) return;
+  cand_stride_ = std::max(cand_stride_, g);
+  mask_stride_ = std::max(mask_stride_, w);
+  depth_ = std::max(depth_, d);
+  cand_pool_.assign(depth_ * cand_stride_, 0);
+  mask_pool_.assign(depth_ * mask_stride_, 0);
+}
+
+edge_t* SearchContext::begin_tally_task(int n) {
+  const auto size = static_cast<std::size_t>(n);
+  // Growth value-initializes, keeping the all-zero-between-tasks invariant.
+  if (local_counts.size() < size) local_counts.resize(size);
+  local_stack.clear();
+  if (!tally_edges()) return nullptr;
+  if (edge_slots.size() < size * size) edge_slots.resize(size * size);
+  return edge_slots.data();
+}
+
+count_t search_cliques(SearchContext& ctx, std::span<const int> I, const std::uint64_t* I_mask,
+                       int c, int level) {
+  return with_mode(ctx, [&](auto mode) {
+    return pairs<decltype(mode)::value>(ctx, I, I_mask, c, level);
+  });
+}
+
+count_t search_cliques_tri(SearchContext& ctx, std::span<const int> I,
+                           const std::uint64_t* I_mask, int c, int level) {
+  return with_mode(ctx, [&](auto mode) {
+    return triangles<decltype(mode)::value>(ctx, I, I_mask, c, level);
+  });
+}
+
+count_t search_cliques_vertex(SearchContext& ctx, const std::uint64_t* mask, int c, int level) {
+  return with_mode(ctx, [&](auto mode) {
+    return vertices<decltype(mode)::value>(ctx, mask, c, level);
+  });
+}
+
+count_t search_cliques_all(SearchContext& ctx, int c, bool triangle_growth) {
+  const int n = ctx.lg->size();
+  const int words = ctx.lg->words();
+  // Depth bound: c shrinks by >= 2 per level (pair growth) and the triangle
+  // variant consumes two mask slots per level; c + 3 covers both with slack.
+  ctx.ensure_capacity(n, c + 3, words);
+  int* universe = ctx.cand_at(c + 2);  // top level borrows the last slot
+  for (int i = 0; i < n; ++i) universe[i] = i;
+  std::uint64_t* mask = ctx.mask_at(c + 2);
+  bits::fill_prefix(mask, static_cast<std::size_t>(n), static_cast<std::size_t>(words));
+  const std::span<const int> all(universe, static_cast<std::size_t>(n));
+  return triangle_growth ? search_cliques_tri(ctx, all, mask, c, 0)
+                         : search_cliques(ctx, all, mask, c, 0);
 }
 
 count_t search_cliques_vertex_all(SearchContext& ctx, int c) {

@@ -34,8 +34,19 @@
 namespace c3 {
 
 /// Per-worker state for one sequence of recursive searches: the local graph
-/// being searched, instrumentation counters, optional listing support, and
-/// the per-level scratch (candidate arrays + community masks).
+/// being searched, instrumentation counters, optional listing or aggregation
+/// support, and the per-level scratch (candidate arrays + community masks).
+///
+/// Aggregation mode (tally non-null, callback null) tallies cliques in
+/// closed form. Let S be the local partial clique, I the candidate set and
+/// r = |I|. A c == 1 leaf adds 1 to each a in I and to each edge (s, a); a
+/// c == 2 leaf adds d(a) = |N(a) ∩ I| to each a in I and to each edge
+/// (s, a), and 1 to each edge inside I. The vertices pushed onto S are
+/// credited once per push with the count their subtree returns, which sums
+/// the leaves' "+r per stack vertex / stack edge" terms. Per-vertex sums
+/// collect in local_counts; flush_task_tally() moves them to the tally once
+/// per task and credits the task's outer vertices (the supporting edge or
+/// the top vertex, which are not local).
 struct SearchContext {
   const LocalGraph* lg = nullptr;
   bool prune = true;  ///< the relevant-pair criterion (ablation switch)
@@ -48,11 +59,32 @@ struct SearchContext {
   const node_t* member_to_orig = nullptr;
   bool stopped = false;  ///< this worker has seen the search's stop
 
+  /// Aggregation mode when non-null: this worker's tally for the query.
+  CliqueTally* tally = nullptr;
+  /// Edge slot of local edge (a, b) at a * lg->size() + b, both orders,
+  /// written by the local-graph builders; only edges' entries are valid.
+  std::vector<edge_t> edge_slots;
+  std::vector<count_t> local_counts;  ///< per local vertex; all zero between tasks
+  std::vector<int> local_stack;       ///< local ids of the partial clique
+
+  /// True when the tally wants per-edge counts.
+  [[nodiscard]] bool tally_edges() const noexcept { return !tally->edge.empty(); }
+
+  /// Starts one aggregation task over a local graph of `n` vertices; returns
+  /// the edge-slot table the local-graph builder fills, or null when only
+  /// vertices are tallied.
+  edge_t* begin_tally_task(int n);
+
+  [[nodiscard]] edge_t edge_slot(int a, int b) const noexcept {
+    return edge_slots[static_cast<std::size_t>(a) * static_cast<std::size_t>(lg->size()) +
+                      static_cast<std::size_t>(b)];
+  }
+
   /// The query's stop source (stop.hpp), shared by all contexts of one
-  /// search in counting and listing mode alike. A callback's stop, the
-  /// cancel token, and the deadline all reach every worker at its next poll
-  /// point (each top-level task, recursion entry, and emission) instead of
-  /// after its in-flight top-level task. Bound per search by
+  /// search in every mode. A callback's stop, the cancel token, and the
+  /// deadline all reach every worker at its next poll point (each top-level
+  /// task, recursion entry, and emission) instead of after its in-flight
+  /// top-level task. Bound per search by
   /// QueryScratch::reset_query and valid only while that search runs; null
   /// when the recursion runs standalone, where only a callback stops it.
   StopSource* stop = nullptr;
@@ -92,10 +124,36 @@ struct SearchContext {
   std::size_t depth_ = 0;
 };
 
-/// Runs Algorithm 2: counts (and in listing mode reports) the c-cliques of
-/// ctx.lg restricted to candidates `I` (sorted ascending local ids) with
-/// membership mask `I_mask`. `level` indexes the scratch arrays and must
-/// leave room for ceil(c/2) further levels.
+/// Ends one aggregation task whose search found `found` cliques: moves
+/// local_counts into the tally and credits the task's outer vertices
+/// `outer` (original ids, outside the local graph), the edge between them
+/// (slot `outer_pair`, used when there are two), and the edge from outer[i]
+/// to each local vertex a (slot outer_slot(i, a)).
+template <typename OuterSlot>
+void flush_task_tally(SearchContext& ctx, count_t found, std::span<const node_t> outer,
+                      edge_t outer_pair, OuterSlot&& outer_slot) {
+  if (found == 0) return;  // no leaf fired, so local_counts is still zero
+  CliqueTally& t = *ctx.tally;
+  const bool edges = ctx.tally_edges();
+  for (const node_t o : outer) t.vertex[o] += found;
+  if (edges && outer.size() == 2) t.edge[outer_pair] += found;
+  const int n = ctx.lg->size();
+  for (int a = 0; a < n; ++a) {
+    count_t& c = ctx.local_counts[static_cast<std::size_t>(a)];
+    if (c == 0) continue;
+    t.vertex[ctx.member_to_orig[a]] += c;
+    if (edges) {
+      for (std::size_t i = 0; i < outer.size(); ++i) t.edge[outer_slot(i, a)] += c;
+    }
+    c = 0;
+  }
+}
+
+/// Runs Algorithm 2: counts (and in listing mode reports, in aggregation
+/// mode tallies) the c-cliques of ctx.lg restricted to candidates `I`
+/// (sorted ascending local ids) with membership mask `I_mask`. `level`
+/// indexes the scratch arrays and must leave room for ceil(c/2) further
+/// levels.
 [[nodiscard]] count_t search_cliques(SearchContext& ctx, std::span<const int> I,
                                      const std::uint64_t* I_mask, int c, int level);
 

@@ -49,30 +49,41 @@ struct CliqueScratch {
   std::vector<int> inner_order, inner_rank;
   LocalDegeneracyScratch deg;
 
+  // Hybrid aggregation: lg_aux's edge slots, before the inner-order renaming.
+  std::vector<edge_t> edge_slots_aux;
+
   // kcList: per-level label array and candidate sets. (ArbCount's per-level
   // candidate masks live in ctx — search_cliques_vertex uses the same
-  // aligned mask pool as the edge-growth recursion.)
+  // aligned mask pool as the edge-growth recursion.) In aggregation mode,
+  // parallel to each level's candidates: the arc from the vertex that
+  // spawned the level, and the candidate's count when the level began.
   std::vector<int> label;
   std::vector<std::vector<node_t>> levels;
+  std::vector<std::vector<edge_t>> level_arcs;
+  std::vector<std::vector<count_t>> level_seen;
 
   // kcList listing stack (c3List's and ArbCount's live in ctx.clique_stack).
   std::vector<node_t> clique_stack;
 
-  // Per-query accumulators. Early-stop state lives in ctx (stopped / stop /
-  // callback) for every algorithm — kcList and ArbCount use only those
-  // fields of their SearchContext, so the cross-worker stop logic exists
-  // exactly once (SearchContext::poll_stop / request_stop).
+  // Per-query accumulators. Early-stop state and the sink live in ctx
+  // (stopped / stop / callback / tally) for every algorithm — kcList and
+  // ArbCount use only those fields of their SearchContext, so the
+  // cross-worker stop logic exists exactly once (SearchContext::poll_stop /
+  // request_stop).
   LocalCounters ctr;
   count_t count = 0;
 
-  /// Resets the per-query accumulators and binds the search's stop source
-  /// and callback (null = counting); all buffers keep their capacity.
-  void reset_query(StopSource& stop, const CliqueCallback* callback) noexcept {
+  /// Resets the per-query accumulators and binds the search's stop source,
+  /// callback and tally (both null = counting); all buffers keep their
+  /// capacity.
+  void reset_query(StopSource& stop, const CliqueCallback* callback,
+                   CliqueTally* tally) noexcept {
     ctr = {};
     count = 0;
     ctx.stopped = false;
     ctx.stop = &stop;
     ctx.callback = callback;
+    ctx.tally = tally;
   }
 };
 
@@ -92,15 +103,19 @@ struct QueryScratch {
 
   /// Prepares every slot for a new search: rebuilds the slot array if the
   /// worker pool grew past it (so local() never clamps), resets the
-  /// accumulators, binds `stop` and `callback` to every slot, repairs
-  /// exception-dirtied labels, and begins the search on `stop`. Warm buffers
-  /// survive.
-  void reset_query(StopSource& stop, const CliqueCallback* callback) {
+  /// accumulators, binds `stop` and the sink to every slot (slot i gets
+  /// worker i's tally), repairs exception-dirtied labels, and begins the
+  /// search on `stop`. Warm buffers survive.
+  void reset_query(StopSource& stop, const CliqueSink& sink) {
     if (workers.size() < static_cast<std::size_t>(num_workers()))
       workers = PerWorker<CliqueScratch>();
     for (std::size_t i = 0; i < workers.size(); ++i) {
       CliqueScratch& w = workers.slot(i);
-      w.reset_query(stop, callback);
+      // A tally covers the query's num_workers(); the slots past it never run.
+      CliqueTally* tally = sink.tallies != nullptr && i < sink.tallies->per_worker.size()
+                               ? &sink.tallies->per_worker[i]
+                               : nullptr;
+      w.reset_query(stop, sink.callback, tally);
       if (labels_dirty) std::fill(w.label.begin(), w.label.end(), 0);
     }
     labels_dirty = false;

@@ -2,8 +2,9 @@
 // token must end a query promptly even when the search never reaches a
 // callback. turan_graph(60, 15) has clique number 15, so every 16-clique
 // probe is fruitless and, unbounded, runs for seconds; a 10-clique count
-// runs for seconds too. Each case must return within twice its limit plus
-// a fixed slack, marked truncated.
+// and the 10-clique per-vertex and per-edge counts run for seconds too.
+// Each case must return within twice its limit plus a fixed slack, marked
+// truncated.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -66,6 +67,26 @@ TEST_P(BoundedStopTest, CancelTokenCutsCount) {
   const double elapsed = timer.seconds();
   canceller.join();
   EXPECT_LE(elapsed, 2 * 0.1 + kSlackSeconds);
+  EXPECT_TRUE(a.truncated);
+}
+
+// The aggregation kinds tally in closed form at the recursion leaves, which
+// emit nothing either; the budget still has to end them on time.
+TEST_P(BoundedStopTest, BudgetCutsVertexCounts) {
+  const Query q = parse_query("vertexcounts 10 budget=0.2");
+  const WallTimer timer;
+  const Answer a = engine_.run(q);
+  const double elapsed = timer.seconds();
+  EXPECT_LE(elapsed, 2 * 0.2 + kSlackSeconds);
+  EXPECT_TRUE(a.truncated);
+}
+
+TEST_P(BoundedStopTest, BudgetCutsEdgeCounts) {
+  const Query q = parse_query("edgecounts 10 budget=0.2");
+  const WallTimer timer;
+  const Answer a = engine_.run(q);
+  const double elapsed = timer.seconds();
+  EXPECT_LE(elapsed, 2 * 0.2 + kSlackSeconds);
   EXPECT_TRUE(a.truncated);
 }
 

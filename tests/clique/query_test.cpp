@@ -555,5 +555,24 @@ TEST(QueryRun, EstimateCostIsMonotoneAndArtifactAware) {
   EXPECT_GT(estimate_query_cost(engine, make(QueryKind::Count, 6)), 0.0);
 }
 
+TEST(QueryRun, EstimateCostPricesAggregatesNearACount) {
+  // Per-vertex and per-edge counts aggregate inside the counting search, so
+  // each costs at least a count of the same k and at most a small constant
+  // multiple of it, before and after preparation.
+  const Graph g = social_like(500, 4000, 0.4, 9);
+  const PreparedGraph engine(g, {});
+  for (const bool prepared : {false, true}) {
+    if (prepared) engine.prepare();
+    for (int k = 1; k <= 12; ++k) {
+      const double count = estimate_query_cost(engine, make(QueryKind::Count, k));
+      for (const QueryKind kind : {QueryKind::PerVertexCounts, QueryKind::PerEdgeCounts}) {
+        const double cost = estimate_query_cost(engine, make(kind, k));
+        EXPECT_GE(cost, count) << query_kind_name(kind) << " k=" << k;
+        EXPECT_LE(cost, 3.0 * count) << query_kind_name(kind) << " k=" << k;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace c3
