@@ -8,8 +8,9 @@
 //   end_to_end — the CI smoke graphs plus a community-overlay graph counted
 //                by every production algorithm twice: once with the dispatch
 //                pinned to scalar, once on the host-selected backend. The
-//                self-timed search_seconds are compared and the counts are
-//                cross-checked (non-zero exit on any mismatch).
+//                self-timed search_seconds are compared, and each count is
+//                cross-checked scalar vs vector and against c3List's count
+//                of the same graph (non-zero exit on any mismatch).
 //
 //   ./bench_kernels [--out BENCH_pr7.json] [--reps 2] [--k 5]
 //
@@ -178,8 +179,10 @@ int main(int argc, char** argv) {
   // mostly measure parity, not speedup. This graph's communities span
   // 420-460 vertices — 8-word rows, a full 512-bit lane past the inline
   // threshold — so the search recursions actually dispatch with enough width
-  // for the vectors to pay. k is pinned to 4 to keep the multi-second rows a
-  // smoke, not a soak; one rep suffices at that scale.
+  // for the vectors to pay; it is also the only CI run of c3List on
+  // universes wider than 256 vertices. k is pinned to 4 to keep the graph a
+  // smoke, not a soak (its slowest algorithm, c3List-CD, takes seconds); one
+  // rep suffices at that scale.
   graphs.push_back({"dense_blocks",
                     bench::overlay_communities(social_like(1200, 6'000, 0.4, 21), 2, 420, 460, 99),
                     4, 1});
@@ -189,6 +192,7 @@ int main(int argc, char** argv) {
   std::vector<EndToEndResult> e2e;
   bool mismatch = false;
   for (const BenchGraph& sg : graphs) {
+    count_t reference = 0;  // C3List's count (it runs first); every other must match it
     for (const Algorithm alg : algorithms) {
       CliqueOptions opts;
       opts.algorithm = alg;
@@ -209,6 +213,14 @@ int main(int argc, char** argv) {
         std::printf("!! %s %s k=%d: scalar=%llu %s=%llu\n", sg.name.c_str(), algorithm_name(alg),
                     sg.k, static_cast<unsigned long long>(scalar_count),
                     bits::kernel_backend_name(host), static_cast<unsigned long long>(vector_count));
+        mismatch = true;
+      }
+      if (alg == Algorithm::C3List) {
+        reference = vector_count;
+      } else if (vector_count != reference) {
+        std::printf("!! %s %s k=%d: %llu, c3List %llu\n", sg.name.c_str(), algorithm_name(alg),
+                    sg.k, static_cast<unsigned long long>(vector_count),
+                    static_cast<unsigned long long>(reference));
         mismatch = true;
       }
       e2e.push_back({sg.name, algorithm_name(alg), sg.k, vector_count, scalar_s, vector_s});

@@ -46,7 +46,7 @@ count_t arbcount_task(const Digraph& dag, node_t u, int k, CliqueScratch& w) {
     // Local vertex a is members[a], the arc from u at that out-list position.
     const node_t outer[] = {dag.original_id(u)};
     const edge_t first_arc = dag.raw_out_offsets()[u];
-    flush_task_tally(w.ctx, found, outer, 0,
+    flush_task_tally(w.ctx, found, w.ctx.lg->size(), outer, 0,
                      [&](std::size_t, int a) { return first_arc + static_cast<edge_t>(a); });
   }
   return found;

@@ -1,12 +1,10 @@
 #include "clique/c3list.hpp"
 
-#include <vector>
-
 #include "clique/engine.hpp"
 #include "clique/local_graph.hpp"
 #include "clique/recursive.hpp"
-#include "parallel/pack.hpp"
 #include "parallel/parallel.hpp"
+#include "parallel/reduce.hpp"
 #include "util/timer.hpp"
 
 namespace c3 {
@@ -41,66 +39,99 @@ CliqueResult c3list_search(const Digraph& dag, const EdgeCommunities& comms, int
   result.stats.gamma = comms.max_size();
 
   WallTimer search_timer;
-  // Algorithm 1, line 2: all edges with at least k-2 triangles.
+  // Algorithm 1, line 2: all edges with at least k-2 triangles. They are
+  // searched grouped by source vertex, one task per source.
   const auto needed = static_cast<node_t>(k - 2);
-  const std::vector<edge_t> tasks = pack_index<edge_t>(
-      dag.num_arcs(), [&](std::size_t e) { return comms.size(static_cast<edge_t>(e)) >= needed; });
-  result.stats.top_level_tasks = tasks.size();
+  const auto qualifies = [&](edge_t e) { return comms.size(e) >= needed; };
+  result.stats.top_level_tasks = parallel_sum<count_t>(
+      0, dag.num_arcs(), [&](std::size_t e) { return qualifies(static_cast<edge_t>(e)) ? 1 : 0; });
 
   scratch.reset_query(stop, sink);
 
   parallel_for_dynamic(
-      0, tasks.size(),
-      [&](std::size_t t) {
+      0, dag.num_nodes(),
+      [&](std::size_t source) {
+        const auto u = static_cast<node_t>(source);
+        const auto out = dag.out_neighbors(u);
+        // A qualifying arc's target and community are k - 1 out-neighbors.
+        if (static_cast<int>(out.size()) < k - 1) return;
         CliqueScratch& w = scratch.local();
         if (w.ctx.poll_stop()) return;
-        const edge_t e = tasks[t];
-        const auto members = comms.members(e);
-
+        const edge_t first_arc = dag.raw_out_offsets()[u];
         CliqueTally* tally = w.ctx.tally;
 
         // k = 3 counting and aggregation need no adjacency at all: every
         // community member closes a triangle with the supporting edge.
         if (k == 3 && callback == nullptr) {
-          w.count += members.size();
-          ++w.ctr.recursive_calls;
-          w.ctr.leaf_work += members.size();
-          if (tally != nullptr) tally_community_triangles(dag, e, members, *tally);
+          for (edge_t e = first_arc; e < first_arc + out.size(); ++e) {
+            const auto members = comms.members(e);
+            if (members.empty()) continue;
+            if (w.ctx.poll_stop()) return;
+            w.count += members.size();
+            ++w.ctr.recursive_calls;
+            w.ctr.leaf_work += members.size();
+            if (tally != nullptr) tally_community_triangles(dag, e, members, *tally);
+          }
           return;
         }
 
-        // Rename C(e) to consecutive integers and build the indicator-table
-        // adjacency of Dag[C(e)] (Section 2.2 preprocessing).
-        const int size = static_cast<int>(members.size());
-        build_local_graph(dag, members, w.lg,
-                          tally != nullptr ? w.ctx.begin_tally_task(size) : nullptr);
+        // The universe U(u): the targets of u's qualifying arcs and their
+        // communities, a subsequence of N+(u) in rank order.
+        if (w.in_universe.size() < dag.num_nodes()) w.in_universe.resize(dag.num_nodes());
+        for (std::size_t i = 0; i < out.size(); ++i) {
+          const edge_t e = first_arc + i;
+          if (!qualifies(e)) continue;
+          w.in_universe[out[i]] = 1;
+          for (const node_t x : comms.members(e)) w.in_universe[x] = 1;
+        }
+        w.universe.clear();
+        w.universe_arcs.clear();
+        for (std::size_t i = 0; i < out.size(); ++i) {
+          if (w.in_universe[out[i]] == 0) continue;
+          w.in_universe[out[i]] = 0;
+          w.universe.push_back(out[i]);
+          w.universe_arcs.push_back(first_arc + i);
+        }
+        if (w.universe.empty()) return;
 
-        const node_t u = dag.arc_source(e);
-        const node_t v = dag.arc_target(e);
+        // Rename U(u) to consecutive integers and build the indicator-table
+        // adjacency of Dag[U(u)] once; every qualifying arc's community is a
+        // masked row of it (Section 2.2 preprocessing).
+        const int size = static_cast<int>(w.universe.size());
+        build_local_graph(dag, w.universe, w.lg,
+                          tally != nullptr ? w.ctx.begin_tally_task(size) : nullptr);
         w.ctx.lg = &w.lg;
         w.ctx.prune = opts.distance_pruning;
         w.ctx.ctr = &w.ctr;
         if (callback != nullptr || tally != nullptr) {
-          w.member_orig.resize(members.size());
-          for (std::size_t i = 0; i < members.size(); ++i)
-            w.member_orig[i] = dag.original_id(members[i]);
+          w.member_orig.resize(w.universe.size());
+          for (std::size_t a = 0; a < w.universe.size(); ++a)
+            w.member_orig[a] = dag.original_id(w.universe[a]);
           w.ctx.member_to_orig = w.member_orig.data();
         }
-        if (callback != nullptr) {
-          w.ctx.clique_stack.clear();
-          w.ctx.clique_stack.push_back(dag.original_id(u));
-          w.ctx.clique_stack.push_back(dag.original_id(v));
-        }
 
-        // Algorithm 1, line 3: recurse on the community with c = k - 2.
-        const count_t found = search_cliques_all(w.ctx, k - 2, opts.triangle_growth);
-        w.count += found;
-        if (tally != nullptr) {
-          const node_t outer[] = {dag.original_id(u), dag.original_id(v)};
-          flush_task_tally(w.ctx, found, outer, e, [&](std::size_t i, int a) {
-            const node_t x = members[static_cast<std::size_t>(a)];
-            return i == 0 ? dag.arc_id(u, x) : dag.arc_id(x, v);
-          });
+        // Algorithm 1, line 3, for each qualifying arc (u, v): with j the
+        // local id of v, C(u, v) = U(u) ∩ N(v) ∩ {< v} is row j masked to
+        // the bits below j. Recurse on it with c = k - 2.
+        for (int j = 0; j < size; ++j) {
+          const edge_t e = w.universe_arcs[static_cast<std::size_t>(j)];
+          if (!qualifies(e)) continue;
+          if (w.ctx.poll_stop()) return;
+          const node_t v = w.universe[static_cast<std::size_t>(j)];
+          if (callback != nullptr) {
+            w.ctx.clique_stack.clear();
+            w.ctx.clique_stack.push_back(dag.original_id(u));
+            w.ctx.clique_stack.push_back(dag.original_id(v));
+          }
+          const count_t found =
+              search_cliques_below(w.ctx, w.lg.row(j), j, k - 2, opts.triangle_growth);
+          w.count += found;
+          if (tally != nullptr) {
+            const node_t outer[] = {dag.original_id(u), dag.original_id(v)};
+            flush_task_tally(w.ctx, found, j, outer, e, [&](std::size_t i, int a) {
+              return i == 0 ? w.universe_arcs[static_cast<std::size_t>(a)] : w.ctx.edge_slot(a, j);
+            });
+          }
         }
       },
       1);

@@ -2,10 +2,12 @@
 // (Algorithm 1 driving Algorithm 2).
 //
 // Pipeline: orient the graph by a total vertex order (Section 4), build and
-// sort all edge communities (Section 2.2), then — in parallel over the edges
-// supporting at least k-2 triangles — rename each community to a local
-// universe, build its indicator-table adjacency, and run the recursive
-// search for (k-2)-cliques inside it. Work/depth bounds: Theorem 2.1,
+// sort all edge communities (Section 2.2), then — in parallel over the
+// source vertices — gather the edges from u supporting at least k-2
+// triangles, rename the union U(u) of their targets and communities to a
+// local universe, build its indicator-table adjacency once, and run the
+// recursive search for (k-2)-cliques inside each edge's community, a
+// masked row of that adjacency. Work/depth bounds: Theorem 2.1,
 // instantiated by the chosen order per Table 1.
 //
 // The pipeline is split into a prepare half (order + orientation +

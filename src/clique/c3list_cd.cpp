@@ -104,7 +104,7 @@ CliqueResult c3list_cd_search(const Graph& g, const EdgeOrderResult& order, int 
         w.count += found;
         if (tally != nullptr) {
           const node_t outer[] = {endpoints[e].u, endpoints[e].v};
-          flush_task_tally(w.ctx, found, outer, e, [&](std::size_t i, int a) {
+          flush_task_tally(w.ctx, found, w.lg.size(), outer, e, [&](std::size_t i, int a) {
             return g.edge_id(outer[i], members[static_cast<std::size_t>(a)]);
           });
         }

@@ -158,7 +158,7 @@ CliqueResult hybrid_search(const Digraph& dag, int k, const CliqueSink& sink, St
           // position of its out-list.
           const node_t outer[] = {dag.original_id(static_cast<node_t>(v))};
           const edge_t first_arc = dag.raw_out_offsets()[v];
-          flush_task_tally(w.ctx, found, outer, 0, [&](std::size_t, int r) {
+          flush_task_tally(w.ctx, found, sz, outer, 0, [&](std::size_t, int r) {
             return first_arc + static_cast<edge_t>(w.inner_order[static_cast<std::size_t>(r)]);
           });
         }

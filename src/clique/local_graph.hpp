@@ -3,9 +3,12 @@
 // Algorithm 1 preprocesses each qualifying edge e by renaming its community
 // C(e) to consecutive integers and building "an adjacency matrix of G[C(e)]"
 // with "a boolean indicator table" per edge (Section 2.2). We realize both
-// as bitset rows over the local universe: row(a) holds the local neighbors
+// as bitset rows over a local universe: row(a) holds the local neighbors
 // of a, so edge probes are single bit tests and community intersections are
-// word-parallel ANDs.
+// word-parallel ANDs. c3List builds one local graph per source vertex u,
+// over the union U(u) of its qualifying arcs' targets and communities, and
+// reads C(u, v) as the row of v masked to the bits below it (c3list.cpp);
+// Algorithm 3 and the per-vertex searches build one per task as before.
 //
 // Local ids are assigned in ascending rank order, so the total order of the
 // orientation is the natural `<` on local ids and the paper's distance
@@ -30,14 +33,14 @@
 namespace c3 {
 
 /// Reusable per-worker storage for one local subgraph and the recursion
-/// stacks on top of it. Sized for the largest community met so far; reused
-/// across top-level edges to avoid allocation in the hot loop.
+/// stacks on top of it. Sized for the largest universe met so far; reused
+/// across top-level tasks to avoid allocation in the hot loop.
 class LocalGraph {
  public:
   /// Prepares an empty local graph over `n` vertices. Clearing is lazy:
-  /// only the rows actually populated for the previous community are
-  /// zeroed (everything else is zero by invariant), so tiny communities
-  /// stop paying O(n·words) memset on every top-level edge.
+  /// only the rows actually populated for the previous universe are
+  /// zeroed (everything else is zero by invariant), so tiny universes
+  /// stop paying O(n·words) memset on every top-level task.
   void reset(int n);
 
   /// Number of local vertices.

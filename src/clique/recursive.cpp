@@ -93,7 +93,7 @@ class StackPush {
 /// Tally-mode c == 1 leaf: each candidate in `mask` closes one clique with
 /// the stack. Returns r = |mask|.
 count_t tally_leaf1(SearchContext& ctx, const std::uint64_t* mask) {
-  const auto words = static_cast<std::size_t>(ctx.lg->words());
+  const auto words = static_cast<std::size_t>(ctx.words);
   const bool edges = ctx.tally_edges();
   count_t found = 0;
   bits::for_each_bit(mask, words, [&](std::size_t a) {
@@ -112,7 +112,7 @@ count_t tally_leaf1(SearchContext& ctx, const std::uint64_t* mask) {
 /// Returns the number of edges inside the mask.
 count_t tally_leaf2(SearchContext& ctx, const std::uint64_t* mask) {
   const LocalGraph& lg = *ctx.lg;
-  const auto words = static_cast<std::size_t>(lg.words());
+  const auto words = static_cast<std::size_t>(ctx.words);
   const bool edges = ctx.tally_edges();
   count_t twice = 0;
   bits::for_each_bit(mask, words, [&](std::size_t abit) {
@@ -140,7 +140,7 @@ count_t pairs(SearchContext& ctx, std::span<const int> I, const std::uint64_t* I
   if (ctx.poll_stop()) return 0;
 
   const LocalGraph& lg = *ctx.lg;
-  const int words = lg.words();
+  const int words = ctx.words;
 
   // Base case c == 1 (Algorithm 2, line 2): every candidate is a clique.
   if (c == 1) {
@@ -284,7 +284,7 @@ count_t triangles(SearchContext& ctx, std::span<const int> I, const std::uint64_
   if (ctx.poll_stop()) return 0;
 
   const LocalGraph& lg = *ctx.lg;
-  const int words = lg.words();
+  const int words = ctx.words;
   const int t = static_cast<int>(I.size());
   const int gap = ctx.prune ? c - 2 : 0;
   std::uint64_t* community = ctx.mask_at(level);
@@ -355,7 +355,7 @@ count_t vertices(SearchContext& ctx, const std::uint64_t* mask, int c, int level
   if (ctx.poll_stop()) return 0;
 
   const LocalGraph& lg = *ctx.lg;
-  const auto words = static_cast<std::size_t>(lg.words());
+  const auto words = static_cast<std::size_t>(ctx.words);
 
   // Base case c == 1: every remaining candidate completes a clique.
   if (c == 1) {
@@ -461,24 +461,35 @@ count_t search_cliques_vertex(SearchContext& ctx, const std::uint64_t* mask, int
   });
 }
 
-count_t search_cliques_all(SearchContext& ctx, int c, bool triangle_growth) {
-  const int n = ctx.lg->size();
-  const int words = ctx.lg->words();
+count_t search_cliques_below(SearchContext& ctx, const std::uint64_t* row, int end, int c,
+                             bool triangle_growth) {
+  // Every candidate lies below `end`, so the search reads only the words
+  // that cover it.
+  ctx.words = static_cast<int>(bits::kernel_stride_words(static_cast<std::size_t>(end)));
+  const auto words = static_cast<std::size_t>(ctx.words);
   // Depth bound: c shrinks by >= 2 per level (pair growth) and the triangle
   // variant consumes two mask slots per level; c + 3 covers both with slack.
-  ctx.ensure_capacity(n, c + 3, words);
-  int* universe = ctx.cand_at(c + 2);  // top level borrows the last slot
-  for (int i = 0; i < n; ++i) universe[i] = i;
+  ctx.ensure_capacity(end, c + 3, static_cast<int>(words));
+  int* top = ctx.cand_at(c + 2);  // top level borrows the last slot
   std::uint64_t* mask = ctx.mask_at(c + 2);
-  bits::fill_prefix(mask, static_cast<std::size_t>(n), static_cast<std::size_t>(words));
-  const std::span<const int> all(universe, static_cast<std::size_t>(n));
-  return triangle_growth ? search_cliques_tri(ctx, all, mask, c, 0)
-                         : search_cliques(ctx, all, mask, c, 0);
+  bits::fill_prefix(mask, static_cast<std::size_t>(end), words);
+  int t = 0;
+  if (row == nullptr) {
+    for (; t < end; ++t) top[t] = t;
+  } else {
+    const std::size_t used = bits::words_for(static_cast<std::size_t>(end));
+    bits::and_assign(mask, row, used);
+    bits::for_each_bit(mask, used, [&](std::size_t x) { top[t++] = static_cast<int>(x); });
+  }
+  const std::span<const int> I(top, static_cast<std::size_t>(t));
+  return triangle_growth ? search_cliques_tri(ctx, I, mask, c, 0)
+                         : search_cliques(ctx, I, mask, c, 0);
 }
 
 count_t search_cliques_vertex_all(SearchContext& ctx, int c) {
   const int n = ctx.lg->size();
   const int words = ctx.lg->words();
+  ctx.words = words;
   // One mask slot per level 0..c-2, plus the universe borrowing slot c.
   ctx.ensure_capacity(n, c + 1, words);
   std::uint64_t* universe = ctx.mask_at(c);

@@ -44,11 +44,15 @@ namespace c3 {
 /// (s, a), and 1 to each edge inside I. The vertices pushed onto S are
 /// credited once per push with the count their subtree returns, which sums
 /// the leaves' "+r per stack vertex / stack edge" terms. Per-vertex sums
-/// collect in local_counts; flush_task_tally() moves them to the tally once
-/// per task and credits the task's outer vertices (the supporting edge or
-/// the top vertex, which are not local).
+/// collect in local_counts; flush_task_tally() moves them to the tally after
+/// each top-level search and credits its outer vertices (the supporting
+/// edge or the top vertex, which are not searched).
 struct SearchContext {
   const LocalGraph* lg = nullptr;
+  /// Words per row the current search reads: lg->words(), or fewer when
+  /// every candidate lies in a prefix of the universe (set by the
+  /// top-level entries).
+  int words = 0;
   bool prune = true;  ///< the relevant-pair criterion (ablation switch)
   LocalCounters* ctr = nullptr;
 
@@ -124,21 +128,21 @@ struct SearchContext {
   std::size_t depth_ = 0;
 };
 
-/// Ends one aggregation task whose search found `found` cliques: moves
-/// local_counts into the tally and credits the task's outer vertices
-/// `outer` (original ids, outside the local graph), the edge between them
-/// (slot `outer_pair`, used when there are two), and the edge from outer[i]
-/// to each local vertex a (slot outer_slot(i, a)).
+/// Ends one aggregation task whose search found `found` cliques among the
+/// local vertices below `end`: moves their local_counts into the tally and
+/// credits the task's outer vertices `outer` (original ids, outside the
+/// search), the edge between them (slot `outer_pair`, used when there are
+/// two), and the edge from outer[i] to each local vertex a (slot
+/// outer_slot(i, a)).
 template <typename OuterSlot>
-void flush_task_tally(SearchContext& ctx, count_t found, std::span<const node_t> outer,
+void flush_task_tally(SearchContext& ctx, count_t found, int end, std::span<const node_t> outer,
                       edge_t outer_pair, OuterSlot&& outer_slot) {
   if (found == 0) return;  // no leaf fired, so local_counts is still zero
   CliqueTally& t = *ctx.tally;
   const bool edges = ctx.tally_edges();
   for (const node_t o : outer) t.vertex[o] += found;
   if (edges && outer.size() == 2) t.edge[outer_pair] += found;
-  const int n = ctx.lg->size();
-  for (int a = 0; a < n; ++a) {
+  for (int a = 0; a < end; ++a) {
     count_t& c = ctx.local_counts[static_cast<std::size_t>(a)];
     if (c == 0) continue;
     t.vertex[ctx.member_to_orig[a]] += c;
@@ -167,11 +171,24 @@ void flush_task_tally(SearchContext& ctx, count_t found, std::span<const node_t>
 [[nodiscard]] count_t search_cliques_tri(SearchContext& ctx, std::span<const int> I,
                                          const std::uint64_t* I_mask, int c, int level);
 
-/// Convenience wrapper: search over *all* vertices of the local graph
-/// (candidate set = the full universe). Used by the top level of Algorithm 1
-/// (I = C(e)), Algorithm 3 (I = V'(e)), and the hybrid's per-vertex
+/// Top-level entry of Algorithm 2: searches the c-cliques among the local
+/// vertices below `end` whose bit is set in `row` (every vertex below `end`
+/// when `row` is null). Sizes the scratch, materializes the candidate array
+/// and mask in the top-level slot, narrows ctx.words to the words covering
+/// `end`, and runs search_cliques (or search_cliques_tri). c3List passes
+/// row(j) of the per-source local graph
+/// and end = j, so the candidates are the community of the arc to local
+/// vertex j (Algorithm 1, line 3).
+[[nodiscard]] count_t search_cliques_below(SearchContext& ctx, const std::uint64_t* row, int end,
+                                           int c, bool triangle_growth = false);
+
+/// Search over *all* vertices of the local graph (candidate set = the full
+/// universe). Used by Algorithm 3 (I = V'(e)) and the hybrid's per-vertex
 /// subproblems (I = N+(v)).
-[[nodiscard]] count_t search_cliques_all(SearchContext& ctx, int c, bool triangle_growth = false);
+[[nodiscard]] inline count_t search_cliques_all(SearchContext& ctx, int c,
+                                                bool triangle_growth = false) {
+  return search_cliques_below(ctx, nullptr, ctx.lg->size(), c, triangle_growth);
+}
 
 /// Vertex-at-a-time recursion over the candidate mask: pick the next clique
 /// vertex x ascending (= respecting the orientation), descend into

@@ -43,6 +43,13 @@ struct CliqueScratch {
   SearchContext ctx;
   std::vector<node_t> member_orig;  // local id -> original vertex id (listing)
 
+  // c3List: the source vertex's universe U(u) (DAG ids, rank order), the arc
+  // from the source to each universe vertex, and membership flags over all
+  // DAG vertices (all zero between tasks).
+  std::vector<node_t> universe;
+  std::vector<edge_t> universe_arcs;
+  std::vector<std::uint8_t> in_universe;
+
   // Hybrid: the out-neighborhood subgraph before the inner-order renaming,
   // plus the inner exact degeneracy order and its scratch.
   LocalGraph lg_aux;

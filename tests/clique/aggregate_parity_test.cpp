@@ -20,8 +20,8 @@
 #include "clique/query.hpp"
 #include "graph/builder.hpp"
 #include "graph/gen/generators.hpp"
-#include "parallel/parallel.hpp"
 #include "snapshot/snapshot.hpp"
+#include "test_helpers.hpp"
 
 namespace c3 {
 namespace {
@@ -141,24 +141,11 @@ void expect_parity(const PreparedGraph& engine, const Graph& g, const std::strin
   }
 }
 
-/// Raises the worker pool to at least four, so the full-pool runs really
-/// run several workers, and restores it.
-class PoolScope {
- public:
-  PoolScope() : saved_(set_num_workers(std::max(4, num_workers()))) {}
-  ~PoolScope() { set_num_workers(saved_); }
-  PoolScope(const PoolScope&) = delete;
-  PoolScope& operator=(const PoolScope&) = delete;
-
- private:
-  int saved_;
-};
-
 class AggregateParityTest : public ::testing::TestWithParam<Config> {};
 
 TEST_P(AggregateParityTest, MatchesPerCliqueReference) {
   const Config& config = GetParam();
-  const PoolScope pool;
+  const testing::PoolScope pool;
   const DenseFloorScope floor(config.dense_min);
   for (const NamedGraph& input : graphs()) {
     const PreparedGraph engine(input.graph, config.opts);
@@ -174,7 +161,7 @@ INSTANTIATE_TEST_SUITE_P(Configs, AggregateParityTest, ::testing::ValuesIn(confi
 class AggregateSnapshotParityTest : public ::testing::TestWithParam<Algorithm> {};
 
 TEST_P(AggregateSnapshotParityTest, LoadedEngineMatchesPerCliqueReference) {
-  const PoolScope pool;
+  const testing::PoolScope pool;
   const Graph g = social_like(70, 420, 0.5, 3);
   CliqueOptions opts;
   opts.algorithm = GetParam();

@@ -3,10 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include "clique/bruteforce.hpp"
 #include "clique/combinatorics.hpp"
+#include "clique/engine.hpp"
+#include "clique/query.hpp"
+#include "graph/builder.hpp"
 #include "graph/gen/generators.hpp"
 #include "test_helpers.hpp"
 
@@ -135,6 +142,212 @@ TEST(C3List, EmptyAndTinyGraphs) {
   EXPECT_EQ(c3list_count(complete_graph(3), 4).count, 0u);
   EXPECT_EQ(c3list_count(complete_graph(4), 4).count, 1u);
   EXPECT_EQ(c3list_count(complete_graph(5), 4).count, 5u);
+}
+
+TEST(C3List, TopLevelTasksAreTheQualifyingArcs) {
+  // Under any total order of K_12, the arc between ranks i < j has j - i - 1
+  // triangles, so C(14 - k, 2) arcs support the k - 2 that Algorithm 1,
+  // line 2 asks for.
+  const Graph g = complete_graph(12);
+  for (int k = 3; k <= 13; ++k) {
+    EXPECT_EQ(c3list_count(g, k).stats.top_level_tasks, binomial(14 - k, 2)) << "k=" << k;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Universes wider than one word. c3List induces one local graph per source
+// vertex u over U(u) (the targets of u's qualifying arcs plus their
+// communities) and reads each arc's community as the target's row masked to
+// the bits below it, so the masks, the candidate arrays and the aggregation
+// slots must be right across word boundaries.
+
+/// Appends the edges of a clique over `members`.
+void add_clique(EdgeList& edges, const std::vector<node_t>& members) {
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    for (std::size_t j = i + 1; j < members.size(); ++j) edges.push_back({members[i], members[j]});
+  }
+}
+
+constexpr node_t kBaseNodes = 200;
+
+/// A sparse social_like graph on ids 0 .. kBaseNodes - 1.
+EdgeList base_edges() {
+  const Graph base = social_like(kBaseNodes, 900, 0.4, 17);
+  EdgeList edges;
+  for (node_t u = 0; u < base.num_nodes(); ++u) {
+    for (const node_t v : base.neighbors(u)) {
+      if (u < v) edges.push_back({u, v});
+    }
+  }
+  return edges;
+}
+
+/// The sparse base's k-cliques.
+count_t base_cliques(int k) {
+  CliqueOptions opts;
+  opts.algorithm = Algorithm::KCList;
+  return PreparedGraph(build_graph(base_edges(), kBaseNodes), opts).count(k).count;
+}
+
+/// A clique fan: hub `first` joined to `width` fan vertices, which form
+/// `width / group` cliques of `group` members taken with stride
+/// width / group (so every clique spreads over the whole fan), plus
+/// `spokes` further hub neighbors in no triangle. Ordered by id, the hub's
+/// universe is exactly the fan: an arc to the t-th member of a clique has
+/// t triangles, so each clique's first members are targets of
+/// non-qualifying arcs and members of qualifying arcs' communities, and the
+/// spokes are neither. Returns the next free id.
+node_t add_fan(EdgeList& edges, node_t first, node_t width, node_t group, node_t spokes) {
+  const node_t stride = width / group;
+  for (node_t i = 0; i < stride; ++i) {
+    std::vector<node_t> members = {first};
+    for (node_t t = 0; t < group; ++t) members.push_back(first + 1 + i + t * stride);
+    add_clique(edges, members);
+  }
+  for (node_t s = 0; s < spokes; ++s) edges.push_back({first, first + 1 + width + s});
+  return first + 1 + width + spokes;
+}
+
+struct Fan {
+  node_t width, group;
+};
+
+// Universes of 2, 3 and 5 words; targets of qualifying arcs sit at local ids
+// 64, 128 and 256 and beyond.
+constexpr Fan kFans[] = {{70, 7}, {130, 5}, {300, 6}};
+
+/// The fans beside the disjoint sparse base; `hubs` receives the hub ids.
+Graph fan_graph(std::vector<node_t>& hubs) {
+  EdgeList edges = base_edges();
+  node_t next = kBaseNodes;
+  for (const Fan& fan : kFans) {
+    hubs.push_back(next);
+    next = add_fan(edges, next, fan.width, fan.group, 9);
+  }
+  return build_graph(edges, next);
+}
+
+/// Each of a fan's width / group cliques with the hub is a K_(group+1):
+/// the fan's k-cliques, and those through its hub, in closed form.
+count_t fan_cliques(const Fan& fan, int k) {
+  return (fan.width / fan.group) * binomial(fan.group + 1, static_cast<count_t>(k));
+}
+count_t hub_cliques(const Fan& fan, int k) {
+  return (fan.width / fan.group) * binomial(fan.group, static_cast<count_t>(k - 1));
+}
+
+/// Runs one query at `workers` workers (0 = the full pool).
+Answer run_query(const PreparedGraph& engine, QueryKind kind, int k, int workers) {
+  Query q;
+  q.kind = kind;
+  q.k = k;
+  q.opts.max_workers = workers;
+  return engine.run(q);
+}
+
+/// The listed cliques, each sorted, in sorted order.
+std::vector<std::vector<node_t>> sorted_cliques(std::vector<std::vector<node_t>> cliques) {
+  for (auto& c : cliques) std::sort(c.begin(), c.end());
+  std::sort(cliques.begin(), cliques.end());
+  return cliques;
+}
+
+struct Variant {
+  std::string name;
+  bool distance_pruning = true;
+  bool triangle_growth = false;
+};
+
+void PrintTo(const Variant& variant, std::ostream* os) { *os << variant.name; }
+
+class C3ListWideUniverseTest : public ::testing::TestWithParam<Variant> {};
+
+TEST_P(C3ListWideUniverseTest, FansMatchKcListAndClosedForm) {
+  const testing::PoolScope pool;
+  std::vector<node_t> hubs;
+  const Graph g = fan_graph(hubs);
+  CliqueOptions opts;
+  opts.algorithm = Algorithm::C3List;
+  opts.vertex_order = VertexOrderKind::ById;
+  opts.distance_pruning = GetParam().distance_pruning;
+  opts.triangle_growth = GetParam().triangle_growth;
+  const PreparedGraph c3(g, opts);
+  CliqueOptions ref_opts;
+  ref_opts.algorithm = Algorithm::KCList;
+  const PreparedGraph kc(g, ref_opts);
+
+  for (int k = 3; k <= 6; ++k) {
+    const count_t expected = kc.count(k).count;
+    const Answer ref_list = run_query(kc, QueryKind::List, k, 0);
+    const Answer ref_vertex = run_query(kc, QueryKind::PerVertexCounts, k, 0);
+    const Answer ref_edge = run_query(kc, QueryKind::PerEdgeCounts, k, 0);
+    count_t closed_form = base_cliques(k);
+    for (std::size_t f = 0; f < hubs.size(); ++f) {
+      closed_form += fan_cliques(kFans[f], k);
+      EXPECT_EQ(ref_vertex.per_counts[hubs[f]], hub_cliques(kFans[f], k)) << "k=" << k;
+    }
+    ASSERT_EQ(expected, closed_form) << "k=" << k;
+    for (const int workers : {1, 0}) {
+      const std::string where =
+          "k=" + std::to_string(k) + " workers=" + (workers == 1 ? "1" : "all");
+      const Answer count = run_query(c3, QueryKind::Count, k, workers);
+      EXPECT_EQ(count.count, expected) << where;
+      const Answer list = run_query(c3, QueryKind::List, k, workers);
+      EXPECT_EQ(list.count, expected) << where;
+      EXPECT_EQ(sorted_cliques(list.cliques), sorted_cliques(ref_list.cliques)) << where;
+      EXPECT_EQ(run_query(c3, QueryKind::PerVertexCounts, k, workers).per_counts,
+                ref_vertex.per_counts)
+          << where;
+      EXPECT_EQ(run_query(c3, QueryKind::PerEdgeCounts, k, workers).per_counts,
+                ref_edge.per_counts)
+          << where;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Variants, C3ListWideUniverseTest,
+                         ::testing::Values(Variant{"Default", true, false},
+                                           Variant{"NoPruning", false, false},
+                                           Variant{"TriangleGrowth", true, true}),
+                         [](const ::testing::TestParamInfo<Variant>& info) {
+                           return info.param.name;
+                         });
+
+TEST(C3ListWideUniverse, PlantedCliquesMatchKcListAndClosedForm) {
+  // Under the default degeneracy order, a planted s-clique's lowest-ranked
+  // member has a universe of s - 1 vertices: 2, 3 and 5 words here.
+  const testing::PoolScope pool;
+  const node_t sizes[] = {70, 130, 300};
+  EdgeList edges = base_edges();
+  node_t next = kBaseNodes;
+  for (const node_t s : sizes) {
+    std::vector<node_t> members(s);
+    for (node_t i = 0; i < s; ++i) members[i] = next + i;
+    add_clique(edges, members);
+    next += s;
+  }
+  const Graph g = build_graph(edges, next);
+  CliqueOptions opts;
+  opts.algorithm = Algorithm::C3List;
+  const PreparedGraph c3(g, opts);
+  CliqueOptions ref_opts;
+  ref_opts.algorithm = Algorithm::KCList;
+  const PreparedGraph kc(g, ref_opts);
+  // Larger k multiply the cost: C(300, 5) is 2 * 10^10.
+  for (int k = 3; k <= 4; ++k) {
+    count_t closed_form = base_cliques(k);
+    for (const node_t s : sizes) closed_form += binomial(s, static_cast<count_t>(k));
+    ASSERT_EQ(kc.count(k).count, closed_form) << "k=" << k;
+    const Answer ref_vertex = run_query(kc, QueryKind::PerVertexCounts, k, 0);
+    for (const int workers : {1, 0}) {
+      const std::string where =
+          "k=" + std::to_string(k) + " workers=" + (workers == 1 ? "1" : "all");
+      EXPECT_EQ(run_query(c3, QueryKind::Count, k, workers).count, closed_form) << where;
+      EXPECT_EQ(run_query(c3, QueryKind::PerVertexCounts, k, workers).per_counts,
+                ref_vertex.per_counts)
+          << where;
+    }
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include "clique/common.hpp"
 #include "graph/graph.hpp"
+#include "parallel/parallel.hpp"
 
 namespace c3::testing {
 
@@ -52,6 +53,19 @@ class CliqueCollector {
   std::mutex mutex_;
   std::set<std::vector<node_t>> seen_;
   int bad_size_ = 0, bad_distinct_ = 0, bad_edges_ = 0, duplicates_ = 0;
+};
+
+/// Raises the worker pool to at least four, so the full-pool runs really
+/// run several workers, and restores it.
+class PoolScope {
+ public:
+  PoolScope() : saved_(set_num_workers(std::max(4, num_workers()))) {}
+  ~PoolScope() { set_num_workers(saved_); }
+  PoolScope(const PoolScope&) = delete;
+  PoolScope& operator=(const PoolScope&) = delete;
+
+ private:
+  int saved_;
 };
 
 }  // namespace c3::testing
