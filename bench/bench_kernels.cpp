@@ -179,10 +179,11 @@ int main(int argc, char** argv) {
   // mostly measure parity, not speedup. This graph's communities span
   // 420-460 vertices — 8-word rows, a full 512-bit lane past the inline
   // threshold — so the search recursions actually dispatch with enough width
-  // for the vectors to pay; it is also the only CI run of c3List on
-  // universes wider than 256 vertices. k is pinned to 4 to keep the graph a
-  // smoke, not a soak (its slowest algorithm, c3List-CD, takes seconds); one
-  // rep suffices at that scale.
+  // for the vectors to pay. It is also CI's only bench-scale run of c3List
+  // and c3List-CD on per-source universes wider than 256 vertices (the
+  // ctest fans and planted cliques check their answers there); the count
+  // check below holds both to the other algorithms. k is pinned to 4 to
+  // keep the graph a smoke, not a soak; one rep suffices at that scale.
   graphs.push_back({"dense_blocks",
                     bench::overlay_communities(social_like(1200, 6'000, 0.4, 21), 2, 420, 460, 99),
                     4, 1});

@@ -7,12 +7,16 @@
 // of a, so edge probes are single bit tests and community intersections are
 // word-parallel ANDs. c3List builds one local graph per source vertex u,
 // over the union U(u) of its qualifying arcs' targets and communities, and
-// reads C(u, v) as the row of v masked to the bits below it (c3list.cpp);
-// Algorithm 3 and the per-vertex searches build one per task as before.
+// reads C(u, v) as the row of v masked to the bits below it (c3list.cpp).
+// Algorithm 3 also builds one per source vertex, over the union of its
+// owned edges' V'(e), but adds the edges with add_edge as its sweep over
+// the edge order reaches them (c3list_cd.cpp). The per-vertex searches
+// build one per task.
 //
-// Local ids are assigned in ascending rank order, so the total order of the
-// orientation is the natural `<` on local ids and the paper's distance
-// function delta_I is an index difference in the sorted candidate array.
+// build_local_graph assigns local ids in ascending rank order, so the total
+// order of the orientation is the natural `<` on local ids and the paper's
+// distance function delta_I is an index difference in the sorted candidate
+// array.
 //
 // Storage follows the kernel substrate contract (util/bitkernels.hpp): rows
 // live in 64-byte-aligned memory with a per-row stride of

@@ -178,13 +178,13 @@ void flush_task_tally(SearchContext& ctx, count_t found, int end, std::span<cons
 /// `end`, and runs search_cliques (or search_cliques_tri). c3List passes
 /// row(j) of the per-source local graph
 /// and end = j, so the candidates are the community of the arc to local
-/// vertex j (Algorithm 1, line 3).
+/// vertex j (Algorithm 1, line 3). c3List-CD passes the mask of V'(e) and
+/// the end of its prefix of the source's universe (Algorithm 3, line 5).
 [[nodiscard]] count_t search_cliques_below(SearchContext& ctx, const std::uint64_t* row, int end,
                                            int c, bool triangle_growth = false);
 
 /// Search over *all* vertices of the local graph (candidate set = the full
-/// universe). Used by Algorithm 3 (I = V'(e)) and the hybrid's per-vertex
-/// subproblems (I = N+(v)).
+/// universe). Used by the hybrid's per-vertex subproblems (I = N+(v)).
 [[nodiscard]] inline count_t search_cliques_all(SearchContext& ctx, int c,
                                                 bool triangle_growth = false) {
   return search_cliques_below(ctx, nullptr, ctx.lg->size(), c, triangle_growth);

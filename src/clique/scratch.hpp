@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "clique/common.hpp"
@@ -34,6 +35,33 @@ struct LocalDegeneracyScratch {
   std::vector<int> adj_offsets, adj, degree, bin, verts, pos;
 };
 
+/// Per-source state of c3List-CD's search (see c3list_cd.cpp).
+struct CdSourceScratch {
+  /// An owned qualifying edge e = {u, v}: its edge-order position, the end
+  /// of its prefix of U(u), and where its V'(e) (in local ids) starts in
+  /// `members`.
+  struct Task {
+    edge_t e, pos;
+    node_t v;
+    int end;
+    std::size_t first_member;
+  };
+  /// A local edge {a, b} of G[U(u)] and its bucket: the index of the first
+  /// task that reads it.
+  struct LocalEdge {
+    int a, b, task;
+  };
+  std::vector<Task> tasks;
+  std::vector<int> members;  // every task's V'(e), in local ids
+  std::vector<std::pair<edge_t, std::size_t>> by_pos;  // (pos(u, x), slot of x in N(u))
+  std::vector<std::size_t> first_cover;  // local id -> first task whose prefix holds it
+  std::vector<LocalEdge> edges, bucketed;
+  std::vector<edge_t> edge_ids, bucketed_ids;  // graph edge ids; per-edge tallies only
+  std::vector<std::size_t> bucket_end;  // bucketed[.. bucket_end[t]) is inserted before task t
+  std::vector<int> local_id;            // vertex -> local id; all -1 between sources
+  bits::KernelWords mask;               // the current task's V'(e)
+};
+
 /// One worker's reusable state for a sequence of clique searches; handed to
 /// the *_search functions inside a QueryScratch. reset_query() clears the
 /// per-query accumulators while keeping the capacity of every buffer.
@@ -43,12 +71,18 @@ struct CliqueScratch {
   SearchContext ctx;
   std::vector<node_t> member_orig;  // local id -> original vertex id (listing)
 
-  // c3List: the source vertex's universe U(u) (DAG ids, rank order), the arc
-  // from the source to each universe vertex, and membership flags over all
-  // DAG vertices (all zero between tasks).
+  // c3List and c3List-CD: the source vertex's universe U(u) in local-id
+  // order (c3List: DAG ids by rank; c3List-CD: vertex ids by decreasing
+  // edge-order position of the edge to the source) and the arc or edge from
+  // the source to each universe vertex. c3List also keeps membership flags
+  // over all DAG vertices (all zero between tasks).
   std::vector<node_t> universe;
   std::vector<edge_t> universe_arcs;
   std::vector<std::uint8_t> in_universe;
+
+  // c3List-CD (c3list_cd.cpp): one source's owned edges and the local edges
+  // of G[U(u)], bucketed by the first owned edge that reads them.
+  CdSourceScratch cd;
 
   // Hybrid: the out-neighborhood subgraph before the inner-order renaming,
   // plus the inner exact degeneracy order and its scratch.
