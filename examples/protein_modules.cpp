@@ -3,16 +3,14 @@
 // functional modules / complexes).
 //
 // Builds a Bio-SC-HT-like functional association network with embedded
-// complexes, then: (1) enumerates maximal cliques (Bron-Kerbosch with the
-// degeneracy-order outer loop), (2) ranks vertices by k-clique
-// participation, (3) verifies the top-ranked group really is a module via
-// the exact k-clique count inside it.
+// complexes, then: (1) counts the cliques of every size (the clique
+// spectrum, one pivot pass), (2) ranks vertices by k-clique participation,
+// (3) verifies the top-ranked group really is a module via the exact
+// k-clique count inside it.
 //
 //   ./protein_modules [--n 2500] [--seed 7]
 #include <algorithm>
 #include <cstdio>
-#include <map>
-#include <mutex>
 
 #include "c3list.hpp"
 #include "util/cli.hpp"
@@ -30,20 +28,14 @@ int main(int argc, char** argv) {
   std::printf("network: %u genes, %llu associations\n\n", g.num_nodes(),
               static_cast<unsigned long long>(g.num_edges()));
 
-  // 1. Maximal cliques (candidate complexes), with a size histogram.
-  std::map<std::size_t, c3::count_t> histogram;
-  std::mutex mutex;
-  c3::WallTimer t_bk;
-  const c3::count_t maximal = c3::list_maximal_cliques(g, [&](std::span<const c3::node_t> c) {
-    const std::lock_guard<std::mutex> lock(mutex);
-    ++histogram[c.size()];
-    return true;
-  });
-  std::printf("maximal cliques: %llu in %.3f s; size histogram (>=5):\n",
-              static_cast<unsigned long long>(maximal), t_bk.seconds());
-  for (const auto& [size, count] : histogram) {
-    if (size >= 5)
-      std::printf("  size %2zu: %llu\n", size, static_cast<unsigned long long>(count));
+  // 1. Cliques of every size (candidate complexes).
+  c3::WallTimer t_spectrum;
+  const c3::CliqueSpectrum spectrum = c3::clique_spectrum(g);
+  std::printf("clique spectrum in %.3f s: clique number %u; counts (size >= 5):\n",
+              t_spectrum.seconds(), spectrum.omega);
+  for (std::size_t size = 5; size < spectrum.counts.size(); ++size) {
+    std::printf("  size %2zu: %llu\n", size,
+                static_cast<unsigned long long>(spectrum.counts[size]));
   }
 
   // 2. Rank genes by 5-clique participation (module centrality).

@@ -24,7 +24,7 @@
 //   Individual algorithms   clique/c3list.hpp, clique/c3list_cd.hpp,
 //                           clique/hybrid.hpp, clique/kclist.hpp,
 //                           clique/arbcount.hpp, clique/bruteforce.hpp
-//   Extensions              clique/max_clique.hpp, clique/bron_kerbosch.hpp,
+//   Extensions              clique/max_clique.hpp, clique/spectrum.hpp,
 //                           clique/vertex_counts.hpp, clique/peeling.hpp
 //
 // Reproduction of: Gianinazzi, Besta, Schaffner, Hoefler, "Parallel
@@ -35,7 +35,6 @@
 #include "clique/api.hpp"
 #include "clique/arbcount.hpp"
 #include "clique/batch.hpp"
-#include "clique/bron_kerbosch.hpp"
 #include "clique/bruteforce.hpp"
 #include "clique/c3list.hpp"
 #include "clique/c3list_cd.hpp"

@@ -3,21 +3,41 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <optional>
 
 #include "graph/types.hpp"
 
 namespace c3 {
 
-/// Binomial coefficient C(n, k) in 64 bits (no overflow checks; callers use
-/// small arguments).
-[[nodiscard]] constexpr count_t binomial(count_t n, count_t k) noexcept {
-  if (k > n) return 0;
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wpedantic"
+/// Unsigned 128-bit integer: the width clique counts are accumulated in
+/// before they are checked against count_t.
+using wide_count_t = unsigned __int128;
+#pragma GCC diagnostic pop
+
+/// Binomial coefficient C(n, k), or nullopt when it exceeds count_t. Step i
+/// computes C(n - k + i, i) = C(n - k + i - 1, i - 1) * (n - k + i) / i with
+/// the product in 128 bits, so it is exact whenever the result fits: the
+/// partial results grow with i, and each fits in 64 bits before it is
+/// multiplied by a factor below 2^64.
+[[nodiscard]] constexpr std::optional<count_t> binomial_checked(count_t n, count_t k) noexcept {
+  if (k > n) return count_t{0};
   if (k > n - k) k = n - k;
   count_t result = 1;
   for (count_t i = 1; i <= k; ++i) {
-    result = result * (n - k + i) / i;
+    const wide_count_t next = static_cast<wide_count_t>(result) * (n - k + i) / i;
+    if (next > std::numeric_limits<count_t>::max()) return std::nullopt;
+    result = static_cast<count_t>(next);
   }
   return result;
+}
+
+/// Binomial coefficient C(n, k), saturated at the largest count_t when it
+/// does not fit (see binomial_checked).
+[[nodiscard]] constexpr count_t binomial(count_t n, count_t k) noexcept {
+  return binomial_checked(n, k).value_or(std::numeric_limits<count_t>::max());
 }
 
 /// Observation 3: |P+_c(V)| = |P-_c(V)| = |V| - (c + 1) relevant out/in

@@ -4,6 +4,7 @@
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -17,6 +18,7 @@
 #include "clique/hybrid.hpp"
 #include "clique/kclist.hpp"
 #include "clique/order_util.hpp"
+#include "clique/pivot.hpp"
 #include "obs/metrics.hpp"
 #include "order/approx_degeneracy.hpp"
 #include "order/degeneracy.hpp"
@@ -268,6 +270,15 @@ void PreparedGraph::prepare() const {
   }
 }
 
+void PreparedGraph::prepare_all() const {
+  prepare();
+  // Graphs without edges answer every query without artifacts.
+  if (g_->num_edges() == 0) return;
+  double prep = 0.0;
+  (void)upper_bound(prep);
+  (void)dag(prep);
+}
+
 node_t PreparedGraph::upper_bound(double& prep) const {
   if (g_->num_nodes() == 0) return 0;
   if (g_->num_edges() == 0) return 1;
@@ -456,27 +467,25 @@ Answer PreparedGraph::run(const Query& query) const {
         if (g_->num_edges() == 0 || query.kmax == 1) return;
         out.counts.push_back(g_->num_edges());
         out.omega = 2;
-        // The k >= 3 loop below could never run; don't build artifacts for it.
+        // Only larger sizes need the pass below; don't build its DAG for none.
         if (query.kmax == 2) return;
 
+        // One pivot pass over the DAG counts every size (pivot.hpp). A cut
+        // pass's partial counts are dropped: only the trivial sizes stand.
         double prep = 0.0;
-        const auto ub = static_cast<int>(upper_bound(prep));
-        const int limit = query.kmax > 0 ? std::min(query.kmax, ub) : ub;
-        for (int k = 3; k <= limit; ++k) {
-          // Each k's search reads the limits as it begins, so an expired
-          // budget ends the sweep before k's first task; a cut k's partial
-          // count is dropped.
-          const CliqueResult r = dispatch(k, CliqueSink{}, stop, prep);
-          out.search_seconds += r.stats.search_seconds;
-          if (stop.limit_reached()) {
-            answer.truncated = true;
-            break;
-          }
-          if (r.count == 0) break;
-          out.counts.push_back(r.count);
-          out.omega = static_cast<node_t>(k);
-        }
+        const Digraph& d = dag(prep);
         out.preprocess_seconds = prep;
+        const ScratchLease lease = memo_->pool.acquire();
+        PivotCounts r = pivot_spectrum(
+            d, query.kmax > 0 ? query.kmax : std::numeric_limits<int>::max(), stop, *lease);
+        answer.stats = r.stats;
+        out.search_seconds = r.stats.search_seconds;
+        if (stop.limit_reached()) {
+          answer.truncated = true;
+          return;
+        }
+        out.counts = std::move(r.counts);
+        out.omega = static_cast<node_t>(out.counts.size() - 1);
       }();
       answer.stats.preprocess_seconds = out.preprocess_seconds;
       answer.stats.search_seconds = out.search_seconds;

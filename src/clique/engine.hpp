@@ -71,6 +71,10 @@ class PreparedGraph {
   /// fixes the algorithm and its options. No artifact is built yet.
   explicit PreparedGraph(const Graph& g, const CliqueOptions& opts = {});
 
+  /// A temporary graph would die before the engine that points at it: name
+  /// the graph instead.
+  explicit PreparedGraph(Graph&&, const CliqueOptions& = {}) = delete;
+
   /// Loaded-artifact construction: installs every artifact present in
   /// `loaded` as already prepared. The engine never rebuilds an installed
   /// artifact; artifacts missing from `loaded` are still built lazily on
@@ -78,6 +82,7 @@ class PreparedGraph {
   /// are the caller's responsibility — the snapshot loader validates them
   /// before constructing.
   PreparedGraph(const Graph& g, const CliqueOptions& opts, PreparedArtifacts loaded);
+  PreparedGraph(Graph&&, const CliqueOptions&, PreparedArtifacts) = delete;
 
   PreparedGraph(PreparedGraph&&) noexcept;
   PreparedGraph& operator=(PreparedGraph&&) noexcept;
@@ -108,8 +113,9 @@ class PreparedGraph {
   /// Lists all k-cliques through `callback` (see CliqueCallback).
   [[nodiscard]] CliqueResult list(int k, const CliqueCallback& callback) const;
 
-  /// Counts k-cliques for every k = 1..min(kmax, omega) with one shared
-  /// preparation; kmax = 0 means "up to the clique number".
+  /// Counts k-cliques for every k = 1..min(kmax, omega) in one pivot pass
+  /// over the DAG (pivot.hpp); kmax = 0 means "up to the clique number".
+  /// Throws std::overflow_error when some count exceeds count_t.
   [[nodiscard]] CliqueSpectrum spectrum(int kmax = 0) const;
 
   /// counts[v] = number of k-cliques containing v.
@@ -136,6 +142,12 @@ class PreparedGraph {
   /// Forces the algorithm's artifacts to exist now, so later queries report
   /// preprocess_seconds == 0. Idempotent and safe to race with queries.
   void prepare() const;
+
+  /// Forces every artifact a query of any kind can need: prepare()'s, the
+  /// one clique_number_upper_bound() reads, and the DAG the spectrum's pivot
+  /// pass runs on. The snapshot writer calls it, so a loaded engine never
+  /// prepares anything.
+  void prepare_all() const;
 
   /// Cumulative seconds spent building artifacts so far.
   [[nodiscard]] double prepare_seconds() const noexcept;

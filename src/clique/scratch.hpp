@@ -62,6 +62,16 @@ struct CdSourceScratch {
   bits::KernelWords mask;               // the current task's V'(e)
 };
 
+/// Per-worker state of the pivot pass (pivot.cpp): the candidate and branch
+/// sets of every recursion level, and the histogram of the leaves found.
+struct PivotScratch {
+  bits::KernelWords sets;  // two sets per level, the local graph's stride each
+  /// leaves[h * stride + p]: how many leaves held h vertices and p pivots,
+  /// for h = 0..rows-1. The stride grows with the largest p seen.
+  std::vector<count_t> leaves;
+  std::size_t rows = 0, stride = 0;
+};
+
 /// One worker's reusable state for a sequence of clique searches; handed to
 /// the *_search functions inside a QueryScratch. reset_query() clears the
 /// per-query accumulators while keeping the capacity of every buffer.
@@ -113,6 +123,9 @@ struct CliqueScratch {
   // request_stop).
   LocalCounters ctr;
   count_t count = 0;
+
+  // The pivot pass (pivot.cpp); it builds each N+(v) into `lg` above.
+  PivotScratch pivot;
 
   /// Resets the per-query accumulators and binds the search's stop source,
   /// callback and tally (both null = counting); all buffers keep their

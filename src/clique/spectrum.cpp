@@ -5,8 +5,6 @@
 namespace c3 {
 
 CliqueSpectrum clique_spectrum(const Graph& g, int kmax, const CliqueOptions& opts) {
-  // The engine prepares once (order, orientation, communities / edge order)
-  // and reruns only the k-dependent search per size.
   return PreparedGraph(g, opts).spectrum(kmax);
 }
 

@@ -261,12 +261,9 @@ SnapshotInfo info_from_layout(const Layout& lay, const std::filesystem::path& pa
 }  // namespace
 
 void write(const std::filesystem::path& path, const PreparedGraph& engine) {
-  // Force the full query surface: the algorithm's dispatch artifacts plus
-  // whatever clique_number_upper_bound (spectrum / max-clique) needs, so a
-  // loaded engine never prepares anything.
-  engine.prepare();
+  // Force the full query surface, so a loaded engine never prepares anything.
+  engine.prepare_all();
   const Graph& g = engine.graph();
-  if (g.num_nodes() > 0 && g.num_edges() > 0) (void)engine.clique_number_upper_bound();
   const CliqueOptions& opts = engine.options();
 
   SnapshotHeader h;

@@ -119,10 +119,31 @@ class DenseFloorScope {
 };
 
 /// Runs both aggregation kinds for k = 1..kMaxK at one worker and at the
-/// full pool, and compares each against the reference.
+/// full pool, and compares each against the reference. The spectrum (at
+/// both worker settings) must agree with the reference and with the
+/// engine's own count(k).
 void expect_parity(const PreparedGraph& engine, const Graph& g, const std::string& label) {
+  std::vector<CliqueSpectrum> spectra;
+  for (const int workers : {1, 0}) {
+    Query q;
+    q.kind = QueryKind::Spectrum;
+    q.kmax = kMaxK;
+    q.opts.max_workers = workers;
+    const Answer a = engine.run(q);
+    EXPECT_FALSE(a.truncated) << label;
+    spectra.push_back(a.spectrum);
+  }
   for (int k = 1; k <= kMaxK; ++k) {
     const Reference ref = reference_counts(g, k);
+    count_t cliques = 0;
+    for (const count_t c : ref.vertex) cliques += c;
+    cliques /= static_cast<count_t>(k);
+    EXPECT_EQ(engine.count(k).count, cliques) << label << " k=" << k << " (count)";
+    for (const CliqueSpectrum& s : spectra) {
+      const auto at = static_cast<std::size_t>(k);
+      EXPECT_EQ(at < s.counts.size() ? s.counts[at] : 0, cliques)
+          << label << " k=" << k << " (spectrum)";
+    }
     for (const int workers : {1, 0}) {
       Query q;
       q.k = k;

@@ -154,7 +154,8 @@ EdgeList base_edges() {
 count_t base_cliques(int k) {
   CliqueOptions opts;
   opts.algorithm = Algorithm::KCList;
-  return PreparedGraph(build_graph(base_edges(), kBaseNodes), opts).count(k).count;
+  const Graph base = build_graph(base_edges(), kBaseNodes);
+  return PreparedGraph(base, opts).count(k).count;
 }
 
 struct Variant {

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <optional>
+
 #include "clique/bruteforce.hpp"
 #include "graph/gen/generators.hpp"
 
@@ -17,6 +20,22 @@ TEST(Combinatorics, BinomialBasics) {
   EXPECT_EQ(binomial(6, 2), 15u);
   EXPECT_EQ(binomial(10, 3), 120u);
   EXPECT_EQ(binomial(52, 5), 2'598'960u);
+}
+
+TEST(Combinatorics, BinomialIsExactWheneverItFits) {
+  // A 64-bit running product overflows on these before its division does.
+  EXPECT_EQ(binomial(66, 33), 7219428434016265740u);
+  EXPECT_EQ(binomial(67, 33), 14226520737620288370u);
+  EXPECT_EQ(binomial(320, 8), 2496767727736920u);
+  EXPECT_EQ(binomial_checked(67, 33), std::optional<count_t>(14226520737620288370u));
+  EXPECT_EQ(binomial_checked(5, 6), std::optional<count_t>(0));
+}
+
+TEST(Combinatorics, BinomialReportsWhatDoesNotFit) {
+  EXPECT_FALSE(binomial_checked(68, 34).has_value());
+  EXPECT_FALSE(binomial_checked(320, 11).has_value());
+  EXPECT_TRUE(binomial_checked(320, 10).has_value());
+  EXPECT_EQ(binomial(68, 34), std::numeric_limits<count_t>::max());  // saturates
 }
 
 TEST(Combinatorics, BinomialPascalRule) {

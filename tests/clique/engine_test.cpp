@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 
 #include "clique/api.hpp"
 #include "clique/bruteforce.hpp"
@@ -29,6 +30,14 @@ const Algorithm kAllAlgorithms[] = {Algorithm::C3List,  Algorithm::C3ListCD,
 const Algorithm kPreparedAlgorithms[] = {Algorithm::C3List, Algorithm::C3ListCD,
                                          Algorithm::Hybrid, Algorithm::KCList,
                                          Algorithm::ArbCount};
+
+// The engine keeps a pointer to its graph, so binding it to a temporary
+// would dangle; both constructors refuse one at compile time.
+static_assert(!std::is_constructible_v<PreparedGraph, Graph&&>);
+static_assert(!std::is_constructible_v<PreparedGraph, Graph&&, const CliqueOptions&>);
+static_assert(
+    !std::is_constructible_v<PreparedGraph, Graph&&, const CliqueOptions&, PreparedArtifacts>);
+static_assert(std::is_constructible_v<PreparedGraph, const Graph&>);
 
 TEST(Engine, PreparedMatchesOneShotAllAlgorithmsAndOrders) {
   const Graph graphs[] = {erdos_renyi(80, 600, 3), barabasi_albert(120, 5, 9)};

@@ -1,14 +1,19 @@
-// Tests for the clique spectrum (shared-preprocessing k sweep).
+// Tests for the clique spectrum: every clique size counted by one pivot pass.
 #include "clique/spectrum.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "clique/api.hpp"
 #include "clique/bruteforce.hpp"
 #include "clique/combinatorics.hpp"
+#include "clique/engine.hpp"
 #include "clique/max_clique.hpp"
 #include "graph/builder.hpp"
 #include "graph/gen/generators.hpp"
+#include "test_helpers.hpp"
 
 namespace c3 {
 namespace {
@@ -76,6 +81,46 @@ TEST(Spectrum, UnimodalOnRandomGraphs) {
       ASSERT_LE(s.counts[k], s.counts[k - 1]) << "k=" << k;
     }
   }
+}
+
+// Each engine's spectrum against its own per-k counts, and all five engines
+// against each other (spectrum_test's share of the agreement coverage).
+
+TEST(Spectrum, EveryEngineAgreesOnASocialGraph) {
+  const testing::PoolScope pool;
+  const CliqueSpectrum s = testing::expect_spectrum_agreement(
+      social_like(150, 1100, 0.45, 77), 0, "social_like");
+  EXPECT_GE(s.omega, 5u);
+}
+
+TEST(Spectrum, EveryEngineAgreesUnderAKmaxCap) {
+  const testing::PoolScope pool;
+  const Graph g = planted_clique(90, 300, 11, 5, nullptr);
+  for (const int kmax : {3, 6, 11, 12}) {
+    const CliqueSpectrum s =
+        testing::expect_spectrum_agreement(g, kmax, "kmax=" + std::to_string(kmax));
+    EXPECT_EQ(s.omega, static_cast<node_t>(std::min(kmax, 11))) << "kmax=" << kmax;
+  }
+}
+
+TEST(Spectrum, EveryEngineAgreesOnDegenerateGraphs) {
+  const testing::PoolScope pool;
+  EXPECT_EQ(testing::expect_spectrum_agreement(Graph{}, 0, "empty").omega, 0u);
+  EXPECT_EQ(testing::expect_spectrum_agreement(build_graph(EdgeList{}, 9), 0, "edgeless").omega,
+            1u);
+  EXPECT_EQ(testing::expect_spectrum_agreement(hypercube(5), 0, "triangle-free").omega, 2u);
+}
+
+TEST(Spectrum, EveryEngineAgreesWhenRowsSpanSeveralWords) {
+  // Out-degrees above 64 put each local graph row over several words.
+  const testing::PoolScope pool;
+  const Graph g = erdos_renyi(140, 6200, 13);
+  CliqueOptions opts;
+  const PreparedGraph engine(g, opts);
+  Query q;
+  q.kind = QueryKind::Spectrum;
+  ASSERT_GT(engine.run(q).stats.gamma, 64u);
+  (void)testing::expect_spectrum_agreement(g, 0, "dense erdos_renyi");
 }
 
 }  // namespace

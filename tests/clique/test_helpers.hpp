@@ -4,11 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <mutex>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "clique/api.hpp"
 #include "clique/common.hpp"
+#include "clique/engine.hpp"
 #include "graph/graph.hpp"
 #include "parallel/parallel.hpp"
 
@@ -67,5 +71,47 @@ class PoolScope {
  private:
   int saved_;
 };
+
+/// Checks the spectrum (capped at `kmax`, 0 = none) of each of the five
+/// prepared engines against that engine's own count(k) for every
+/// k = 1..omega while the spectrum's count stays at most
+/// `max_checked_count` (the per-k searches enumerate every clique, so a
+/// graph with billions of mid-size cliques needs a cap), and
+/// count(omega + 1) == 0 when the spectrum is uncapped and fully checked;
+/// every engine must also report the same spectrum. Hybrid and ArbCount
+/// orient by the approximate order, so this also cross-checks the pass
+/// under different orientations. Returns c3List's spectrum.
+inline CliqueSpectrum expect_spectrum_agreement(const Graph& g, int kmax,
+                                                const std::string& label,
+                                                count_t max_checked_count = UINT64_MAX) {
+  CliqueSpectrum first;
+  for (const Algorithm alg : {Algorithm::C3List, Algorithm::C3ListCD, Algorithm::Hybrid,
+                              Algorithm::KCList, Algorithm::ArbCount}) {
+    CliqueOptions opts;
+    opts.algorithm = alg;
+    const PreparedGraph engine(g, opts);
+    const CliqueSpectrum s = engine.spectrum(kmax);
+    const std::string where = label + " " + algorithm_name(alg);
+    // counts runs over k = 0..omega, and keeps k = 0, 1 even when omega = 0.
+    EXPECT_EQ(s.counts.size(), std::max<std::size_t>(s.omega + 1, 2)) << where;
+    int checked = 0;
+    while (checked < static_cast<int>(s.omega) &&
+           s.counts[static_cast<std::size_t>(checked) + 1] <= max_checked_count) {
+      const int k = ++checked;
+      EXPECT_EQ(s.counts[static_cast<std::size_t>(k)], engine.count(k).count)
+          << where << " k=" << k;
+    }
+    if ((kmax == 0 || static_cast<int>(s.omega) < kmax) && checked == static_cast<int>(s.omega)) {
+      EXPECT_EQ(engine.count(static_cast<int>(s.omega) + 1).count, 0u) << where;
+    }
+    if (alg == Algorithm::C3List) {
+      first = s;
+    } else {
+      EXPECT_EQ(s.counts, first.counts) << where << " vs c3List";
+      EXPECT_EQ(s.omega, first.omega) << where << " vs c3List";
+    }
+  }
+  return first;
+}
 
 }  // namespace c3::testing

@@ -2,10 +2,12 @@
 // a diverse sweep of graphs and clique sizes (parameterized property test).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "clique/api.hpp"
 #include "clique/bruteforce.hpp"
+#include "clique/test_helpers.hpp"
 #include "graph/gen/generators.hpp"
 
 namespace c3 {
@@ -66,6 +68,33 @@ INSTANTIATE_TEST_SUITE_P(Sweep, Agreement,
                          [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
                            return "graph" + std::to_string(std::get<0>(info.param)) + "_k" +
                                   std::to_string(std::get<1>(info.param));
+                         });
+
+// The pivot spectrum of every engine: equal to the engine's own per-k
+// counts, to every other engine's spectrum, and to BruteForce's counts.
+// The per-k checks stop before a size with more than two million cliques:
+// the rating_projection case has omega = 29 and 1.6 billion 15-cliques,
+// which the per-k searches would enumerate one by one.
+class SpectrumAgreement : public ::testing::TestWithParam<int> {};
+
+constexpr count_t kMaxChecked = 2'000'000;
+
+TEST_P(SpectrumAgreement, EveryEngineMatchesItsCountsAndBruteForce) {
+  const GraphCase c = make_case(GetParam());
+  for (const int kmax : {0, 4}) {
+    const CliqueSpectrum s = testing::expect_spectrum_agreement(
+        c.graph, kmax, std::string(c.name) + " kmax=" + std::to_string(kmax), kMaxChecked);
+    for (int k = 1; k <= static_cast<int>(s.omega); ++k) {
+      if (s.counts[static_cast<std::size_t>(k)] > kMaxChecked) break;
+      EXPECT_EQ(s.counts[static_cast<std::size_t>(k)], brute_force_count(c.graph, k))
+          << c.name << " kmax=" << kmax << " k=" << k;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, SpectrumAgreement, ::testing::Range(0, 7),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "graph" + std::to_string(info.param);
                          });
 
 }  // namespace

@@ -42,9 +42,10 @@ TEST(Pipeline, GenerateSerializeAnalyzeCount) {
 TEST(Pipeline, FullAnalysisChain) {
   const Graph g = planted_clique(250, 600, 10, 31, nullptr);
 
-  // Clique number via the search API and via Bron-Kerbosch agree.
+  // Clique number via the search API and via the pivot spectrum agree.
   const node_t omega = max_clique_size(g);
-  EXPECT_EQ(omega, max_clique_size_bk(g));
+  const CliqueSpectrum spectrum = clique_spectrum(g);
+  EXPECT_EQ(omega, spectrum.omega);
   EXPECT_EQ(omega, 10u);
 
   // The densest 4-clique subgraph has at least the planted core's density
@@ -52,13 +53,8 @@ TEST(Pipeline, FullAnalysisChain) {
   const DensestResult densest = kclique_densest_peeling(g, 4);
   EXPECT_GT(densest.density, 0.0);
 
-  // Maximal cliques include at least one of size omega.
-  node_t largest_maximal = 0;
-  (void)list_maximal_cliques(g, [&](std::span<const node_t> c) {
-    largest_maximal = std::max(largest_maximal, static_cast<node_t>(c.size()));
-    return true;
-  });
-  EXPECT_EQ(largest_maximal, omega);
+  // The spectrum's count of maximum cliques matches the per-k search.
+  EXPECT_EQ(spectrum.counts[omega], count_cliques(g, static_cast<int>(omega)).count);
 }
 
 TEST(Pipeline, CommunityDegeneracySigmaGuidesAlgorithmChoice) {

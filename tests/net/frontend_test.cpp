@@ -11,12 +11,14 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "clique/answer_cache.hpp"
 #include "clique/engine.hpp"
 #include "clique/query.hpp"
 #include "clique/service.hpp"
+#include "graph/builder.hpp"
 #include "graph/gen/generators.hpp"
 
 namespace c3::net {
@@ -96,6 +98,26 @@ TEST(FrontEnd, EveryFailureIsOneErrorLine) {
   // The front end still answers afterwards.
   EXPECT_EQ(fe.process("ping").line, "pong");
   EXPECT_EQ(fe.process("social hasclique 2").line.rfind("hasclique 2: ", 0), 0u);
+}
+
+TEST(FrontEnd, OverflowingSpectrumIsOneErrorLine) {
+  // Disjoint K_320 and K_300: C(320, 11) alone exceeds 64 bits.
+  EdgeList edges;
+  for (const auto& [first, size] : {std::pair{node_t{0}, node_t{320}},
+                                    std::pair{node_t{320}, node_t{300}}}) {
+    for (node_t i = 0; i < size; ++i) {
+      for (node_t j = i + 1; j < size; ++j) edges.push_back({first + i, first + j});
+    }
+  }
+  CliqueService service;
+  service.add_graph("blocks", build_graph(edges, 620));
+  LineFrontEnd fe(service, nullptr);
+
+  EXPECT_EQ(fe.process("blocks spectrum 10").line.rfind("spectrum: omega 10, counts ", 0), 0u);
+  const std::string refused = fe.process("blocks spectrum").line;
+  EXPECT_EQ(refused.rfind("error: ", 0), 0u) << refused;
+  EXPECT_NE(refused.find("11-cliques overflows"), std::string::npos) << refused;
+  EXPECT_EQ(fe.stats().errors, 1u);
 }
 
 TEST(FrontEnd, CacheHitsCountAndSkipExecution) {
