@@ -306,9 +306,9 @@ int cmd_inspect(const CommandLine& cli) {
               info.format_version, info.artifact_schema, with_commas(info.file_bytes).c_str());
   std::printf("graph: %s vertices, %s edges\n", with_commas(info.num_nodes).c_str(),
               with_commas(info.num_edges).c_str());
-  std::printf("fingerprint: alg %s, vertex order %d, edge order %d, eps %g, seed %llu%s%s\n",
-              algorithm_name(o.algorithm), static_cast<int>(o.vertex_order),
-              static_cast<int>(o.edge_order), o.eps,
+  std::printf("fingerprint: alg %s, vertex order %s, edge order %s, eps %g, seed %llu%s%s\n",
+              algorithm_name(o.algorithm), vertex_order_name(o.vertex_order),
+              edge_order_name(o.edge_order), o.eps,
               static_cast<unsigned long long>(o.order_seed),
               o.distance_pruning ? "" : ", no-prune", o.triangle_growth ? ", triangle-growth" : "");
   std::string artifacts;

@@ -38,7 +38,7 @@ expect_match("${out}" "prepared g.txt with c3List")
 run_c3tool(0 out inspect --in g.c3snap)
 expect_match("${out}" "c3 snapshot v1")
 expect_match("${out}" "400 vertices")
-expect_match("${out}" "fingerprint: alg c3List")
+expect_match("${out}" "fingerprint: alg c3List, vertex order default, edge order approx-community-degeneracy")
 expect_match("${out}" "artifacts \\(mask 0x[0-9a-f]+\\): dag communities")
 expect_match("${out}" "graph.offsets")
 

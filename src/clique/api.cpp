@@ -31,4 +31,32 @@ const char* algorithm_name(Algorithm alg) noexcept {
   return "?";
 }
 
+const char* vertex_order_name(VertexOrderKind kind) noexcept {
+  switch (kind) {
+    case VertexOrderKind::Default:
+      return "default";
+    case VertexOrderKind::ExactDegeneracy:
+      return "exact-degeneracy";
+    case VertexOrderKind::ApproxDegeneracy:
+      return "approx-degeneracy";
+    case VertexOrderKind::Degree:
+      return "degree";
+    case VertexOrderKind::Random:
+      return "random";
+    case VertexOrderKind::ById:
+      return "by-id";
+  }
+  return "?";
+}
+
+const char* edge_order_name(EdgeOrderKind kind) noexcept {
+  switch (kind) {
+    case EdgeOrderKind::ExactCommunityDegeneracy:
+      return "exact-community-degeneracy";
+    case EdgeOrderKind::ApproxCommunityDegeneracy:
+      return "approx-community-degeneracy";
+  }
+  return "?";
+}
+
 }  // namespace c3

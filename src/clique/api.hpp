@@ -22,4 +22,8 @@ namespace c3 {
 /// Human-readable algorithm name (bench/table output).
 [[nodiscard]] const char* algorithm_name(Algorithm alg) noexcept;
 
+/// Names of the order kinds, as refusals and `c3tool inspect` print them.
+[[nodiscard]] const char* vertex_order_name(VertexOrderKind kind) noexcept;
+[[nodiscard]] const char* edge_order_name(EdgeOrderKind kind) noexcept;
+
 }  // namespace c3

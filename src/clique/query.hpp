@@ -168,7 +168,11 @@ class QueryParseError : public std::invalid_argument {
 /// artifacts (max out-degree of the oriented DAG, largest community). Never
 /// triggers preparation — before the artifacts exist it falls back to
 /// graph-shape proxies, so estimates are cheap enough to run per query.
+/// Saturates at kCostCap.
 [[nodiscard]] double estimate_query_cost(const PreparedGraph& engine, const Query& q) noexcept;
+
+/// The largest price estimate_query_cost returns.
+inline constexpr double kCostCap = 1e18;
 
 /// Field-wise equality over the text-representable fields. The cancel token
 /// is deliberately *excluded*: it has no text form and identifies an

@@ -5,50 +5,34 @@
 #include <stdexcept>
 #include <vector>
 
+#include "order/edge_wedges.hpp"
 #include "parallel/pack.hpp"
+#include "parallel/padded.hpp"
 #include "parallel/parallel.hpp"
 #include "parallel/reduce.hpp"
 #include "parallel/scan.hpp"
 
 namespace c3 {
-namespace {
 
-/// Per-edge merge over the endpoints' neighborhoods, invoking
-/// f(w, partner_edge_uw, partner_edge_vw) for each common neighbor w.
-template <typename F>
-void for_each_wedge(const Graph& g, node_t u, node_t v, F&& f) {
-  const auto nu = g.neighbors(u);
-  const auto nv = g.neighbors(v);
-  const auto idu = g.edge_ids(u);
-  const auto idv = g.edge_ids(v);
-  std::size_t a = 0, b = 0;
-  while (a < nu.size() && b < nv.size()) {
-    if (nu[a] < nv[b]) {
-      ++a;
-    } else if (nu[a] > nv[b]) {
-      ++b;
-    } else {
-      f(nu[a], idu[a], idv[b]);
-      ++a;
-      ++b;
-    }
-  }
-}
-
-}  // namespace
+using detail::for_each_wedge;
 
 // Algorithm 4 of the paper: per round, select all edges supporting at most
 // (3 + eps) * T / m triangles (T, m of the *remaining* graph), append them to
 // the order (tie-broken by edge id), remove them, and update the partner
 // edges' counts. Observation 6 bounds the rounds by O(log_{1+eps} m);
 // Lemma 4.4 bounds every candidate set by (3 + eps) * sigma.
+//
+// Each triangle lands in exactly one candidate set, so the members of all
+// rounds fit one staging array of T slots: a peeled edge gathers V'(e) in
+// its worker's scratch and reserves its slots with one atomic add. The
+// staging layout depends on the schedule; the CSR built from it does not.
 EdgeOrderResult approx_community_degeneracy_order(const Graph& g, double eps) {
   if (eps <= 0.0)
     throw std::invalid_argument("approx_community_degeneracy_order: eps must be positive");
   const edge_t m = g.num_edges();
   const auto endpoints = g.endpoints();
   EdgeOrderResult result;
-  result.order.reserve(m);
+  result.order.resize(m);
   result.pos.assign(m, static_cast<edge_t>(-1));
   result.candidate_offsets.assign(m + 1, 0);
   if (m == 0) return result;
@@ -68,12 +52,20 @@ EdgeOrderResult approx_community_degeneracy_order(const Graph& g, double eps) {
                                   return cnt[e].load(std::memory_order_relaxed);
                                 }) /
                                 3;
+  const node_t max_count = parallel_max<node_t>(
+      0, m, 0, [&](std::size_t e) { return cnt[e].load(std::memory_order_relaxed); });
 
   std::vector<edge_t> alive(m);
   for (edge_t e = 0; e < m; ++e) alive[e] = e;
 
-  // Per-edge candidate sets, filled round by round; flattened at the end.
-  std::vector<std::vector<node_t>> candidates(m);
+  // V'(e) is a subset of e's remaining triangles, so max_count bounds it.
+  PerWorker<std::vector<node_t>> scratch{std::vector<node_t>(max_count)};
+  std::vector<node_t> staging(triangles_remaining);
+  std::vector<edge_t> staged_at(m);
+  std::atomic<edge_t> staged{0};
+  edge_t* const order = result.order.data();
+  edge_t* const pos = result.pos.data();
+  edge_t base = 0;
 
   while (!alive.empty()) {
     ++result.rounds;
@@ -92,62 +84,62 @@ EdgeOrderResult approx_community_degeneracy_order(const Graph& g, double eps) {
 
     // Final order positions: earlier rounds first, ties by edge id (peeled
     // is id-sorted because pack preserves the order of `alive`).
-    const edge_t base = static_cast<edge_t>(result.order.size());
-    for (std::size_t i = 0; i < peeled.size(); ++i) {
-      result.pos[peeled[i]] = base + i;
-      result.order.push_back(peeled[i]);
-    }
+    parallel_for(0, peeled.size(), [&](std::size_t i) {
+      pos[peeled[i]] = base + i;
+      order[base + i] = peeled[i];
+    });
 
     // For each peeled edge e, enumerate the triangles that are still alive
     // at round start and in which e is the lowest-positioned edge. That
     // triangle is recorded in V'(e), and each *surviving* partner edge
-    // loses one triangle.
-    std::atomic<count_t> destroyed{0};
-    parallel_for(
-        0, peeled.size(),
-        [&](std::size_t i) {
-          const edge_t e = peeled[i];
-          const edge_t epos = result.pos[e];
-          count_t local_destroyed = 0;
-          for_each_wedge(g, endpoints[e].u, endpoints[e].v,
-                         [&](node_t w, edge_t f, edge_t h) {
-                           const edge_t fpos = result.pos[f];
-                           const edge_t hpos = result.pos[h];
-                           // Partner removed in an earlier round: triangle
-                           // already gone before this round.
-                           if (fpos < base || hpos < base) return;
-                           // e must be the first of the triangle's edges in
-                           // the final order to own it.
-                           if (fpos != static_cast<edge_t>(-1) && fpos < epos) return;
-                           if (hpos != static_cast<edge_t>(-1) && hpos < epos) return;
-                           candidates[e].push_back(w);
-                           ++local_destroyed;
-                           if (fpos == static_cast<edge_t>(-1))
-                             cnt[f].fetch_sub(1, std::memory_order_relaxed);
-                           if (hpos == static_cast<edge_t>(-1))
-                             cnt[h].fetch_sub(1, std::memory_order_relaxed);
-                         });
-          destroyed.fetch_add(local_destroyed, std::memory_order_relaxed);
-        },
-        4);
-    triangles_remaining -= destroyed.load(std::memory_order_relaxed);
+    // loses one triangle. A peeled edge's count is dead from here on, so it
+    // is overwritten with |V'(e)|.
+    const edge_t staged_before = staged.load(std::memory_order_relaxed);
+    parallel_for_dynamic(0, peeled.size(), [&](std::size_t i) {
+      const edge_t e = peeled[i];
+      const edge_t epos = base + i;
+      node_t* const members = scratch.local().data();
+      node_t owned = 0;
+      for_each_wedge(g, endpoints[e].u, endpoints[e].v, [&](node_t w, edge_t f, edge_t h) {
+        const edge_t fpos = pos[f];
+        const edge_t hpos = pos[h];
+        // Partner removed in an earlier round: triangle already gone before
+        // this round.
+        if (fpos < base || hpos < base) return;
+        // e must be the first of the triangle's edges in the final order to
+        // own it.
+        if (fpos != static_cast<edge_t>(-1) && fpos < epos) return;
+        if (hpos != static_cast<edge_t>(-1) && hpos < epos) return;
+        members[owned++] = w;
+        if (fpos == static_cast<edge_t>(-1)) cnt[f].fetch_sub(1, std::memory_order_relaxed);
+        if (hpos == static_cast<edge_t>(-1)) cnt[h].fetch_sub(1, std::memory_order_relaxed);
+      });
+      cnt[e].store(owned, std::memory_order_relaxed);
+      if (owned == 0) return;
+      const edge_t at = staged.fetch_add(owned, std::memory_order_relaxed);
+      staged_at[e] = at;
+      std::copy(members, members + owned, staging.begin() + static_cast<std::ptrdiff_t>(at));
+    });
+    triangles_remaining -= staged.load(std::memory_order_relaxed) - staged_before;
+    base += peeled.size();
     alive = std::move(survivors);
   }
 
-  // Flatten per-edge candidate vectors into the CSR and record the bound.
-  node_t max_candidates = 0;
-  for (edge_t e = 0; e < m; ++e) {
-    result.candidate_offsets[e + 1] =
-        result.candidate_offsets[e] + candidates[e].size();
-    max_candidates = std::max(max_candidates, static_cast<node_t>(candidates[e].size()));
-  }
-  result.candidate_members.resize(result.candidate_offsets[m]);
+  // Offsets by edge id from the recorded sizes, then one copy per edge.
+  edge_t* const offsets = result.candidate_offsets.data();
+  parallel_for(0, m,
+               [&](std::size_t e) { offsets[e + 1] = cnt[e].load(std::memory_order_relaxed); });
+  (void)inclusive_scan<edge_t>(std::span<const edge_t>(offsets + 1, m),
+                               std::span<edge_t>(offsets + 1, m));
+  result.candidate_members.resize(offsets[m]);
+  node_t* const out = result.candidate_members.data();
   parallel_for(0, m, [&](std::size_t e) {
-    std::copy(candidates[e].begin(), candidates[e].end(),
-              result.candidate_members.begin() +
-                  static_cast<std::ptrdiff_t>(result.candidate_offsets[e]));
+    const auto from = staging.begin() + static_cast<std::ptrdiff_t>(staged_at[e]);
+    std::copy(from, from + static_cast<std::ptrdiff_t>(offsets[e + 1] - offsets[e]),
+              out + offsets[e]);
   });
-  result.sigma = max_candidates;
+  result.sigma = parallel_max<node_t>(
+      0, m, 0, [&](std::size_t e) { return cnt[e].load(std::memory_order_relaxed); });
   return result;
 }
 

@@ -1,36 +1,27 @@
 #include "order/community_degeneracy.hpp"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
+#include "order/edge_wedges.hpp"
 #include "parallel/parallel.hpp"
+#include "parallel/scan.hpp"
 
 namespace c3 {
 namespace {
 
-/// Initial per-edge triangle counts |C_G(e)| by merging the (sorted)
-/// neighborhoods of the endpoints. O(sum over edges of d(u)+d(v)).
+using detail::for_each_wedge;
+
+/// Initial per-edge triangle counts |C_G(e)|. O(sum over edges of d(u)+d(v)).
 std::vector<node_t> edge_triangle_counts(const Graph& g) {
   const auto endpoints = g.endpoints();
   std::vector<node_t> count(endpoints.size(), 0);
   parallel_for(
       0, endpoints.size(),
       [&](std::size_t e) {
-        const auto nu = g.neighbors(endpoints[e].u);
-        const auto nv = g.neighbors(endpoints[e].v);
-        std::size_t i = 0, j = 0;
         node_t c = 0;
-        while (i < nu.size() && j < nv.size()) {
-          if (nu[i] < nv[j]) {
-            ++i;
-          } else if (nu[i] > nv[j]) {
-            ++j;
-          } else {
-            ++c;
-            ++i;
-            ++j;
-          }
-        }
+        for_each_wedge(g, endpoints[e].u, endpoints[e].v, [&](node_t, edge_t, edge_t) { ++c; });
         count[e] = c;
       },
       64);
@@ -76,8 +67,9 @@ EdgeOrderResult community_degeneracy_order(const Graph& g) {
   }
 
   std::vector<bool> processed(m, false);
-  // Candidate sets are appended in sweep order, then re-indexed by edge id.
-  std::vector<std::pair<edge_t, node_t>> flat_candidates;  // (edge, member)
+  // The sweep records only |V'(e)|, in the offsets' slot e + 1; the members
+  // are filled once the order is final (see below).
+  edge_t* const offsets = result.candidate_offsets.data();
   node_t sigma = 0;
 
   for (edge_t i = 0; i < m; ++i) {
@@ -89,59 +81,48 @@ EdgeOrderResult community_degeneracy_order(const Graph& g) {
 
     // Enumerate remaining triangles of e: common neighbors w with both
     // partner edges unprocessed.
-    const node_t u = endpoints[e].u;
-    const node_t v = endpoints[e].v;
-    const auto nu = g.neighbors(u);
-    const auto nv = g.neighbors(v);
-    const auto idu = g.edge_ids(u);
-    const auto idv = g.edge_ids(v);
-    std::size_t a = 0, b = 0;
-    while (a < nu.size() && b < nv.size()) {
-      if (nu[a] < nv[b]) {
-        ++a;
-      } else if (nu[a] > nv[b]) {
-        ++b;
-      } else {
-        const edge_t f = idu[a];  // edge {u, w}
-        const edge_t h = idv[b];  // edge {v, w}
-        if (!processed[f] && !processed[h]) {
-          flat_candidates.emplace_back(e, nu[a]);
-          // Decrement with the clamping guard (see header comment).
-          for (const edge_t partner : {f, h}) {
-            if (cnt[partner] > cnt[e]) {
-              const node_t dp = cnt[partner];
-              const edge_t pp = epos[partner];
-              const edge_t pt = bin[dp];
-              const edge_t t = edges_sorted[pt];
-              if (partner != t) {
-                std::swap(edges_sorted[pp], edges_sorted[pt]);
-                epos[partner] = pt;
-                epos[t] = pp;
-              }
-              ++bin[dp];
-              --cnt[partner];
-            }
+    for_each_wedge(g, endpoints[e].u, endpoints[e].v, [&](node_t, edge_t f, edge_t h) {
+      if (processed[f] || processed[h]) return;
+      ++offsets[e + 1];
+      // Decrement with the clamping guard (see header comment).
+      for (const edge_t partner : {f, h}) {
+        if (cnt[partner] > cnt[e]) {
+          const node_t dp = cnt[partner];
+          const edge_t pp = epos[partner];
+          const edge_t pt = bin[dp];
+          const edge_t t = edges_sorted[pt];
+          if (partner != t) {
+            std::swap(edges_sorted[pp], edges_sorted[pt]);
+            epos[partner] = pt;
+            epos[t] = pp;
           }
+          ++bin[dp];
+          --cnt[partner];
         }
-        ++a;
-        ++b;
       }
-    }
+    });
   }
   result.sigma = sigma;
 
-  // Re-index the flat (edge, member) pairs into a CSR keyed by edge id.
-  for (const auto& [e, w] : flat_candidates) result.candidate_offsets[e + 1]++;
-  for (edge_t e = 0; e < m; ++e) result.candidate_offsets[e + 1] += result.candidate_offsets[e];
-  result.candidate_members.resize(flat_candidates.size());
-  {
-    std::vector<edge_t> cursor(result.candidate_offsets.begin(),
-                               result.candidate_offsets.end() - 1);
-    for (const auto& [e, w] : flat_candidates) result.candidate_members[cursor[e]++] = w;
-  }
-  // Members arrive in merge order (ascending w) per edge already, but the
-  // sweep interleaves edges; the scatter above preserves per-edge order, and
-  // per-edge enumeration is ascending — so each set is already sorted.
+  // A partner was unprocessed when e was swept exactly when it comes after e
+  // in the final order, so V'(e) = {w : pos(u,w) > pos(e) and pos(v,w) >
+  // pos(e)}: one parallel merge per edge writes the CSR in place, in
+  // ascending w, without staging (edge, member) pairs.
+  (void)inclusive_scan<edge_t>(std::span<const edge_t>(offsets + 1, m),
+                               std::span<edge_t>(offsets + 1, m));
+  result.candidate_members.resize(offsets[m]);
+  node_t* const members = result.candidate_members.data();
+  const edge_t* const pos = result.pos.data();
+  parallel_for_dynamic(
+      0, m,
+      [&](std::size_t e) {
+        if (offsets[e + 1] == offsets[e]) return;
+        edge_t at = offsets[e];
+        for_each_wedge(g, endpoints[e].u, endpoints[e].v, [&](node_t w, edge_t f, edge_t h) {
+          if (pos[f] > pos[e] && pos[h] > pos[e]) members[at++] = w;
+        });
+      },
+      64);
   return result;
 }
 

@@ -394,14 +394,14 @@ void check_fingerprint(const std::filesystem::path& path, const CliqueOptions& s
                    algorithm_name(expected.algorithm));
   }
   if (stored.vertex_order != expected.vertex_order) {
-    fail(path, "fingerprint mismatch: snapshot vertex order kind " +
-                   u64s(static_cast<std::uint32_t>(stored.vertex_order)) + ", expected " +
-                   u64s(static_cast<std::uint32_t>(expected.vertex_order)));
+    fail(path, std::string("fingerprint mismatch: snapshot vertex order ") +
+                   vertex_order_name(stored.vertex_order) + ", expected " +
+                   vertex_order_name(expected.vertex_order));
   }
   if (stored.edge_order != expected.edge_order) {
-    fail(path, "fingerprint mismatch: snapshot edge order kind " +
-                   u64s(static_cast<std::uint32_t>(stored.edge_order)) + ", expected " +
-                   u64s(static_cast<std::uint32_t>(expected.edge_order)));
+    fail(path, std::string("fingerprint mismatch: snapshot edge order ") +
+                   edge_order_name(stored.edge_order) + ", expected " +
+                   edge_order_name(expected.edge_order));
   }
   std::uint64_t stored_eps = 0, expected_eps = 0;
   std::memcpy(&stored_eps, &stored.eps, sizeof stored_eps);

@@ -555,6 +555,21 @@ TEST(QueryRun, EstimateCostIsMonotoneAndArtifactAware) {
   EXPECT_GT(estimate_query_cost(engine, make(QueryKind::Count, 6)), 0.0);
 }
 
+TEST(QueryRun, EstimateCostPricesASpectrumAsOnePass) {
+  // A spectrum is one pivot pass, not one search per k: uncapped, it prices
+  // below the cost cap and below the sum of its per-k count prices.
+  const Graph g = social_like(2000, 16'000, 0.4, 9);
+  const PreparedGraph engine(g, {});
+  engine.prepare();
+  const int omega = engine.run(make(QueryKind::Spectrum)).spectrum.omega;
+  ASSERT_GE(omega, 6);
+  double per_k = 0.0;
+  for (int k = 3; k <= omega; ++k) per_k += estimate_query_cost(engine, make(QueryKind::Count, k));
+  const double spectrum = estimate_query_cost(engine, make(QueryKind::Spectrum));
+  EXPECT_LT(spectrum, kCostCap);
+  EXPECT_LT(spectrum, per_k);
+}
+
 TEST(QueryRun, EstimateCostPricesAggregatesNearACount) {
   // Per-vertex and per-edge counts aggregate inside the counting search, so
   // each costs at least a count of the same k and at most a small constant

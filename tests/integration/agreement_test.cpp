@@ -51,16 +51,18 @@ TEST_P(Agreement, AllAlgorithmsMatchBruteForce) {
     EXPECT_EQ(count_cliques(c.graph, k, opts).count, expect)
         << c.name << " k=" << k << " alg=" << algorithm_name(alg);
   }
-  // Approximate orders for the two order-sensitive algorithms.
+  // The non-default orders of the two order-sensitive algorithms: the
+  // approximate vertex order for c3List, the exact edge order for c3List-CD
+  // (its default is Algorithm 4).
   CliqueOptions approx_vertex;
   approx_vertex.algorithm = Algorithm::C3List;
   approx_vertex.vertex_order = VertexOrderKind::ApproxDegeneracy;
   EXPECT_EQ(count_cliques(c.graph, k, approx_vertex).count, expect) << c.name << " k=" << k;
 
-  CliqueOptions approx_edge;
-  approx_edge.algorithm = Algorithm::C3ListCD;
-  approx_edge.edge_order = EdgeOrderKind::ApproxCommunityDegeneracy;
-  EXPECT_EQ(count_cliques(c.graph, k, approx_edge).count, expect) << c.name << " k=" << k;
+  CliqueOptions exact_edge;
+  exact_edge.algorithm = Algorithm::C3ListCD;
+  exact_edge.edge_order = EdgeOrderKind::ExactCommunityDegeneracy;
+  EXPECT_EQ(count_cliques(c.graph, k, exact_edge).count, expect) << c.name << " k=" << k;
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, Agreement,

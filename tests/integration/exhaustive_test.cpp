@@ -41,10 +41,10 @@ std::vector<CliqueOptions> option_matrix() {
   CliqueOptions noprune;
   noprune.distance_pruning = false;
   out.push_back(noprune);
-  CliqueOptions cd_approx;
-  cd_approx.algorithm = Algorithm::C3ListCD;
-  cd_approx.edge_order = EdgeOrderKind::ApproxCommunityDegeneracy;
-  out.push_back(cd_approx);
+  CliqueOptions cd_exact;  // c3List-CD's default edge order is Algorithm 4
+  cd_exact.algorithm = Algorithm::C3ListCD;
+  cd_exact.edge_order = EdgeOrderKind::ExactCommunityDegeneracy;
+  out.push_back(cd_exact);
   CliqueOptions approx_order;
   approx_order.vertex_order = VertexOrderKind::ApproxDegeneracy;
   out.push_back(approx_order);

@@ -65,12 +65,25 @@ TEST(Pipeline, CommunityDegeneracySigmaGuidesAlgorithmChoice) {
   const node_t sigma = community_degeneracy(g);
   EXPECT_LT(sigma + 5, s);
 
+  const CliqueResult r_c3 = count_cliques(g, 3);
+
+  // Theorem 4.3: under the exact order every candidate set is at most sigma.
   CliqueOptions cd;
   cd.algorithm = Algorithm::C3ListCD;
+  cd.edge_order = EdgeOrderKind::ExactCommunityDegeneracy;
   const CliqueResult r_cd = count_cliques(g, 3, cd);
-  const CliqueResult r_c3 = count_cliques(g, 3);
   EXPECT_EQ(r_cd.count, r_c3.count);
   EXPECT_LE(r_cd.stats.gamma, sigma);
+
+  // Lemma 4.4: under the default order (Algorithm 4) every candidate set is
+  // at most (3 + eps) sigma.
+  CliqueOptions cd_default;
+  cd_default.algorithm = Algorithm::C3ListCD;
+  ASSERT_EQ(cd_default.edge_order, EdgeOrderKind::ApproxCommunityDegeneracy);
+  const CliqueResult r_default = count_cliques(g, 3, cd_default);
+  EXPECT_EQ(r_default.count, r_c3.count);
+  EXPECT_LE(static_cast<double>(r_default.stats.gamma),
+            (3.0 + cd_default.eps) * static_cast<double>(sigma));
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "graph/digraph.hpp"
 #include "graph/gen/generators.hpp"
 #include "order/degeneracy.hpp"
+#include "parallel/parallel.hpp"
 #include "triangle/triangle_count.hpp"
 
 namespace c3 {
@@ -120,6 +121,56 @@ TEST(CommunityDegeneracy, ApproxRoundsLogarithmic) {
   const Graph g = social_like(2000, 16'000, 0.4, 13);
   const EdgeOrderResult r = approx_community_degeneracy_order(g, 0.5);
   EXPECT_LT(r.rounds, 200u);  // O(log_{1+eps/3} m), generous allowance
+}
+
+/// Both orders built at 1 worker and at a pool of 4 must agree field by
+/// field (their candidate CSRs are filled in parallel), and each must pass
+/// the invariant check: sets <= sigma for the exact order, <= (3 + eps)
+/// sigma (Lemma 4.4) for Algorithm 4.
+void expect_identical_at_any_worker_count(const Graph& g) {
+  const double eps = 0.5;
+  const auto build = [&](bool exact, int workers) {
+    const int original = set_num_workers(workers);
+    EdgeOrderResult r = exact ? community_degeneracy_order(g)
+                              : approx_community_degeneracy_order(g, eps);
+    set_num_workers(original);
+    return r;
+  };
+  node_t sigma = 0;
+  for (const bool exact : {true, false}) {
+    SCOPED_TRACE(exact ? "exact order" : "Algorithm 4");
+    const EdgeOrderResult serial = build(exact, 1);
+    const EdgeOrderResult pooled = build(exact, 4);
+    EXPECT_TRUE(std::ranges::equal(serial.order.span(), pooled.order.span()));
+    EXPECT_TRUE(std::ranges::equal(serial.pos.span(), pooled.pos.span()));
+    EXPECT_TRUE(std::ranges::equal(serial.candidate_offsets.span(),
+                                   pooled.candidate_offsets.span()));
+    EXPECT_TRUE(std::ranges::equal(serial.candidate_members.span(),
+                                   pooled.candidate_members.span()));
+    EXPECT_EQ(serial.sigma, pooled.sigma);
+    EXPECT_EQ(serial.rounds, pooled.rounds);
+    if (exact) sigma = serial.sigma;
+    const node_t bound =
+        exact ? sigma : static_cast<node_t>((3.0 + eps) * static_cast<double>(sigma)) + 1;
+    check_order_and_candidates(g, serial, bound);
+    check_order_and_candidates(g, pooled, bound);
+  }
+}
+
+TEST(CommunityDegeneracy, OrdersIdenticalAtAnyWorkerCount) {
+  // A hub-heavy social graph: skewed per-edge work across the pool.
+  expect_identical_at_any_worker_count(social_like(3000, 24'000, 0.4, 17));
+
+  // Two disjoint cliques of 60 and 64 vertices over a sparse social base,
+  // the shape of perfbench's dense_blocks at a fifth of its size: one
+  // Algorithm 4 round peels nearly every triangle.
+  const Graph base = social_like(300, 1200, 0.4, 18);
+  EdgeList edges(base.endpoints().begin(), base.endpoints().end());
+  for (node_t i = 0; i < 60; ++i)
+    for (node_t j = i + 1; j < 60; ++j) edges.push_back({3 * i, 3 * j});
+  for (node_t i = 0; i < 64; ++i)
+    for (node_t j = i + 1; j < 64; ++j) edges.push_back({3 * i + 1, 3 * j + 1});
+  expect_identical_at_any_worker_count(build_graph(edges, 300));
 }
 
 TEST(CommunityDegeneracy, ExactSigmaIsMaxMinOverPeel) {

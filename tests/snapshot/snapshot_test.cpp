@@ -247,6 +247,44 @@ TEST_F(SnapshotTest, RefusesFingerprintMismatchAndAppliesRuntimeFlags) {
   EXPECT_EQ(snap.engine().count(4).count, engine.count(4).count);
 }
 
+TEST_F(SnapshotTest, RefusalNamesTheOrderKinds) {
+  // A c3List-CD snapshot prepared with the exact edge order, opened by a
+  // caller expecting the default (Algorithm 4), is refused with both orders
+  // named; the same holds for the vertex order.
+  const Graph g = social_like(120, 800, 0.4, 5);
+  CliqueOptions exact;
+  exact.algorithm = Algorithm::C3ListCD;
+  exact.edge_order = EdgeOrderKind::ExactCommunityDegeneracy;
+  const PreparedGraph engine(g, exact);
+  const auto path = dir_ / "edge_order.c3snap";
+  snapshot::write(path, engine);
+
+  const auto refusal = [&](const CliqueOptions& expected) {
+    try {
+      (void)snapshot::Snapshot::open(path, expected);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  CliqueOptions defaults;
+  defaults.algorithm = Algorithm::C3ListCD;
+  EXPECT_NE(refusal(defaults).find("fingerprint mismatch: snapshot edge order "
+                                   "exact-community-degeneracy, expected "
+                                   "approx-community-degeneracy"),
+            std::string::npos)
+      << refusal(defaults);
+  CliqueOptions by_degree = exact;
+  by_degree.vertex_order = VertexOrderKind::Degree;
+  EXPECT_NE(refusal(by_degree).find(
+                "fingerprint mismatch: snapshot vertex order default, expected degree"),
+            std::string::npos)
+      << refusal(by_degree);
+  EXPECT_EQ(snapshot::inspect(path).options.edge_order, EdgeOrderKind::ExactCommunityDegeneracy);
+  const auto snap = snapshot::Snapshot::open(path, exact);
+  EXPECT_EQ(snap.engine().count(5).count, engine.count(5).count);
+}
+
 TEST_F(SnapshotTest, ReadGraphAnyDetachesTheGraph) {
   const Graph g = erdos_renyi(90, 500, 33);
   const PreparedGraph engine(g, {});
