@@ -1,7 +1,7 @@
 // TCP serving bench — the perf number for the PR 6 network front end. A
-// two-graph catalog (one in-memory, one snapshot-backed, like bench_service)
-// goes behind a loopback CliqueServer; N concurrent LineClients each run the
-// same mixed request set twice:
+// two-graph catalog (one in-memory, one snapshot-backed) goes behind a
+// loopback CliqueServer; N concurrent LineClients each run the same mixed
+// request set twice:
 //
 //   cold — empty answer cache: every request executes on the engine;
 //   warm — the same requests again: the cache answers without touching the

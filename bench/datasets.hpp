@@ -44,10 +44,9 @@ namespace c3::bench {
   return build_graph(edges, n);
 }
 
-/// The small CI smoke graphs shared by the perf-trajectory benches
-/// (bench_prepared_sweep -> BENCH_pr2.json, bench_concurrent_queries ->
-/// BENCH_pr3.json): one list so the two baselines can never drift onto
-/// different inputs.
+/// The small CI smoke graphs shared by the bench smokes (bench_prepared_sweep,
+/// bench_snapshot, bench_server, bench_kernels, bench_obs): one list so their
+/// baselines can never drift onto different inputs.
 struct SmokeGraph {
   std::string name;
   Graph graph;

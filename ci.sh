@@ -30,11 +30,12 @@ run_config() {
   local dir="build-ci-${name}"
   local label_args=()
   if [ "${name}" = "tsan" ]; then
-    # The race-sensitive surfaces: the concurrent engine/batch/stream suites,
-    # the parallel substrate, concurrent queries over snapshot-loaded
-    # engines, the multi-graph CliqueService, the TCP front end (answer
-    # cache + admission + server threads), and the telemetry layer the hot
-    # paths write into (sharded counters, trace ring, slow-query log).
+    # The race-sensitive surfaces: the concurrent engine suites (queries
+    # from many std::threads, per-query worker caps), the parallel
+    # substrate, concurrent queries over snapshot-loaded engines, the
+    # multi-graph CliqueService, the TCP front end (answer cache +
+    # admission + server threads), and the telemetry layer the hot paths
+    # write into (sharded counters, trace ring, slow-query log).
     label_args=(-L "clique|parallel|snapshot|service|net|obs")
   fi
   echo "==== [${name}] configure ===="
@@ -64,15 +65,6 @@ run_config() {
       exit 1
     fi
     "${dir}/bench/bench_prepared_sweep" --out BENCH_pr2.json
-    # Concurrency smoke: the mixed query set through the batch executor vs
-    # one-at-a-time, cross-checked result by result. Emits BENCH_pr3.json
-    # (sequential vs batch seconds + speedup per stand-in).
-    echo "==== [${name}] bench smoke (concurrent queries) ===="
-    if [ ! -x "${dir}/bench/bench_concurrent_queries" ]; then
-      echo "bench_concurrent_queries not built (is C3_BUILD_BENCH off?)" >&2
-      exit 1
-    fi
-    "${dir}/bench/bench_concurrent_queries" --out BENCH_pr3.json
     # Snapshot smoke: cold prepare vs mmap open per smoke graph, counts
     # cross-checked cold vs loaded. Emits BENCH_pr4.json (open/prepare
     # speedup — the acceptance bar is >= 10x on the largest graph).
@@ -82,15 +74,6 @@ run_config() {
       exit 1
     fi
     "${dir}/bench/bench_snapshot" --out BENCH_pr4.json
-    # Service smoke: the same query mix through the two-graph catalog
-    # (in-memory + snapshot) sequentially vs batch vs streaming, answers
-    # cross-checked mode by mode. Emits BENCH_pr5.json.
-    echo "==== [${name}] bench smoke (service) ===="
-    if [ ! -x "${dir}/bench/bench_service" ]; then
-      echo "bench_service not built (is C3_BUILD_BENCH off?)" >&2
-      exit 1
-    fi
-    "${dir}/bench/bench_service" --out BENCH_pr5.json
     # Server smoke: the request mix over loopback TCP, N concurrent clients,
     # cold cache vs warm cache, every wire answer cross-checked against a
     # direct service run. Emits BENCH_pr6.json.

@@ -44,7 +44,9 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -93,6 +95,13 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  const std::string port_text = cli.get_string("port", "7433");
+  const std::optional<std::uint16_t> port = parse_port(port_text);
+  if (!port) {
+    std::fprintf(stderr, "c3serve: bad --port '%s' (want 0-65535)\n", port_text.c_str());
+    return 2;
+  }
+
   CliqueService service;
   std::vector<std::string> ids;
   try {
@@ -132,7 +141,7 @@ int main(int argc, char** argv) {
 
   net::ServerOptions opts;
   opts.bind_address = cli.get_string("bind", "127.0.0.1");
-  opts.port = static_cast<std::uint16_t>(cli.get_int("port", 7433));
+  opts.port = *port;
   opts.max_inflight_per_graph = static_cast<int>(cli.get_int("inflight", 4));
   opts.max_inflight_total = static_cast<int>(cli.get_int("inflight-total", 0));
   opts.cache_capacity = static_cast<std::size_t>(cli.get_int("cache", 4096));

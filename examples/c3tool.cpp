@@ -10,10 +10,10 @@
 //   c3tool sweep    --in g.txt [--kmin 3 --kmax 0] [--alg A]   (prepare once,
 //                   query every k; kmax 0 = up to the clique number)
 //   c3tool maxclique --in g.txt
-//   c3tool batch    --in g.txt --queries q.txt [--alg A] [--concurrency N]
-//                   (prepare once, run a query file through QueryBatch; the
-//                   file holds one typed query per line — parse_query's
-//                   grammar, including per-query workers=/limit=/budget=)
+//   c3tool batch    --in g.txt --queries q.txt [--alg A]   (prepare once,
+//                   then run a query file's queries in order; the file holds
+//                   one typed query per line — parse_query's grammar,
+//                   including per-query workers=/limit=/budget=)
 //   c3tool trace    --in g.txt --query 'count 5' --out trace.json   (run with
 //                   tracing on and dump chrome://tracing JSON; --connect
 //                   HOST:PORT fetches a live server's trace ring instead)
@@ -266,29 +266,32 @@ int cmd_batch(const CommandLine& cli) {
   // One grammar for files, tools, and servers: parse_query (query.hpp). A
   // malformed line is a hard error naming the offending token — a typo must
   // not degrade into a different (possibly far more expensive) query.
-  QueryBatch batch(engine);
+  std::vector<Query> queries;
   try {
-    for (Query& q : parse_query_file(in)) (void)batch.add(std::move(q));
+    queries = parse_query_file(in);
   } catch (const QueryParseError& e) {
     std::fprintf(stderr, "c3tool batch: %s: %s\n", queries_path.c_str(), e.what());
     return 2;
   }
-  if (batch.size() == 0) {
+  if (queries.empty()) {
     std::fprintf(stderr, "c3tool batch: %s holds no queries\n", queries_path.c_str());
     return 2;
   }
 
+  // Prepare once, then answer the queries one at a time: each query already
+  // spreads its own search over the whole worker pool.
   WallTimer prep_timer;
   engine.prepare();
   const double prep = prep_timer.seconds();
   WallTimer batch_timer;
-  const std::vector<Answer> answers =
-      batch.answers(static_cast<int>(cli.get_int("concurrency", 0)));
+  std::vector<Answer> answers;
+  answers.reserve(queries.size());
+  for (const Query& q : queries) answers.push_back(engine.run(q));
   const double total = batch_timer.seconds();
 
   Table t({"#", "query", "answer", "time[s]"});
   for (std::size_t i = 0; i < answers.size(); ++i) {
-    t.add_row({std::to_string(i), format_query(batch.queries()[i]),
+    t.add_row({std::to_string(i), format_query(queries[i]),
                format_answer(answers[i]), strfmt("%.3f", answers[i].seconds)});
   }
   t.print();
@@ -358,9 +361,15 @@ int cmd_trace(const CommandLine& cli) {
       return 2;
     }
     const std::string host = connect->substr(0, colon);
-    const auto port = static_cast<std::uint16_t>(std::stoul(connect->substr(colon + 1)));
+    const std::string port_text = connect->substr(colon + 1);
+    const std::optional<std::uint16_t> port = parse_port(port_text);
+    if (!port) {
+      std::fprintf(stderr, "c3tool trace: bad --connect port '%s' (want 0-65535)\n",
+                   port_text.c_str());
+      return 2;
+    }
     // The whole ring arrives as one JSON line; give it generous headroom.
-    net::LineClient client(host, port, 10.0, std::size_t{64} << 20);
+    net::LineClient client(host, *port, 10.0, std::size_t{64} << 20);
     json = client.request("trace");
   } else {
     obs::set_enabled(true);  // --in mode forces tracing even under C3_OBS=off
@@ -429,7 +438,7 @@ void usage() {
       "  count     --in FILE --k K [--alg A] [--triangle-growth] [--no-prune]\n"
       "  sweep     --in FILE [--kmin 3] [--kmax 0] [--alg A]  (prepare once, all k)\n"
       "  maxclique --in FILE\n"
-      "  batch     --in FILE --queries FILE [--alg A] [--concurrency N]\n"
+      "  batch     --in FILE --queries FILE [--alg A]\n"
       "            query file lines: count K | list K | hasclique K | findclique K |\n"
       "            vertexcounts K | edgecounts K | spectrum [KMAX] | maxclique,\n"
       "            each optionally followed by workers=N limit=N budget=SECONDS\n"

@@ -1,26 +1,36 @@
 # CLI-level test of c3tool's snapshot round trip driven by ctest:
 #   gen -> prepare -> inspect (human-readable header/fingerprint/sections)
-#   -> batch --snapshot with the typed query grammar and warm-up hints.
+#   -> batch --snapshot with the typed query grammar and warm-up hints,
+# plus the refusal of malformed ports by c3tool trace --connect and c3serve.
 # Failures print the command output; any unexpected exit code or missing
-# marker string fails the test. Driven with -DC3TOOL=<binary> -DWORK_DIR=<dir>.
-if(NOT DEFINED C3TOOL OR NOT DEFINED WORK_DIR)
-  message(FATAL_ERROR "usage: cmake -DC3TOOL=<c3tool> -DWORK_DIR=<dir> -P c3tool_cli_test.cmake")
+# marker string fails the test. Driven with -DC3TOOL=<binary>
+# -DC3SERVE=<binary> -DWORK_DIR=<dir>.
+if(NOT DEFINED C3TOOL OR NOT DEFINED C3SERVE OR NOT DEFINED WORK_DIR)
+  message(FATAL_ERROR "usage: cmake -DC3TOOL=<c3tool> -DC3SERVE=<c3serve> -DWORK_DIR=<dir> -P c3tool_cli_test.cmake")
 endif()
 
 file(REMOVE_RECURSE ${WORK_DIR})
 file(MAKE_DIRECTORY ${WORK_DIR})
 
-function(run_c3tool expect_rc out_var)
+# A timeout bounds every run: a server that accepts a bad port would
+# otherwise listen until ctest kills the whole test.
+function(run_tool tool expect_rc out_var)
   execute_process(
-    COMMAND ${C3TOOL} ${ARGN}
+    COMMAND ${tool} ${ARGN}
     WORKING_DIRECTORY ${WORK_DIR}
+    TIMEOUT 30
     RESULT_VARIABLE rc
     OUTPUT_VARIABLE out
     ERROR_VARIABLE err)
   if(NOT rc EQUAL ${expect_rc})
-    message(FATAL_ERROR "c3tool ${ARGN}: exit ${rc}, expected ${expect_rc}\n${out}\n${err}")
+    message(FATAL_ERROR "${tool} ${ARGN}: exit ${rc}, expected ${expect_rc}\n${out}\n${err}")
   endif()
   set(${out_var} "${out}\n${err}" PARENT_SCOPE)
+endfunction()
+
+function(run_c3tool expect_rc out_var)
+  run_tool(${C3TOOL} ${expect_rc} result ${ARGN})
+  set(${out_var} "${result}" PARENT_SCOPE)
 endfunction()
 
 function(expect_match text pattern)
@@ -67,5 +77,19 @@ file(WRITE ${WORK_DIR}/bad.txt "count 4\ncuont 5\n")
 run_c3tool(2 out batch --snapshot g.c3snap --queries bad.txt)
 expect_match("${out}" "line 2")
 expect_match("${out}" "cuont")
+
+# a file with only comments and blank lines holds no queries: refused.
+file(WRITE ${WORK_DIR}/empty.txt "# nothing to ask\n\n")
+run_c3tool(2 out batch --snapshot g.c3snap --queries empty.txt)
+expect_match("${out}" "holds no queries")
+
+# A port must be decimal 0..65535: a bad one is refused with exit 2 and a
+# message naming it — never wrapped (70000 -> 4464) or silently replaced.
+foreach(bad_port abc 70000 -1 80x)
+  run_c3tool(2 out trace --connect 127.0.0.1:${bad_port} --out t.json)
+  expect_match("${out}" "bad --connect port '${bad_port}'")
+  run_tool(${C3SERVE} 2 out --graph g=g.txt --port ${bad_port})
+  expect_match("${out}" "bad --port '${bad_port}'")
+endforeach()
 
 message(STATUS "c3tool CLI test passed")

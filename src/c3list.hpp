@@ -13,9 +13,6 @@
 //   Prepared queries        clique/engine.hpp (PreparedGraph: prepare once,
 //                           run(Query) or the named wrappers, concurrently
 //                           from any number of threads)
-//   Batched queries         clique/batch.hpp (QueryBatch: schedule a mixed
-//                           query set; QueryStream: long-lived
-//                           submit/poll/drain loop)
 //   Graph catalog           clique/service.hpp (CliqueService: many named
 //                           graphs — in-memory or snapshot-backed — behind
 //                           one run(id, query) surface)
@@ -34,7 +31,6 @@
 #include "clique/answer_cache.hpp"
 #include "clique/api.hpp"
 #include "clique/arbcount.hpp"
-#include "clique/batch.hpp"
 #include "clique/bruteforce.hpp"
 #include "clique/c3list.hpp"
 #include "clique/c3list_cd.hpp"

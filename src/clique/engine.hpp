@@ -26,8 +26,8 @@
 //    building query's stats report the cost), and every in-flight query
 //    leases its own QueryScratch from the engine's pool, so no mutable
 //    state is shared between queries. Queries still parallelize internally
-//    across the worker pool. For scheduling a whole set of queries, see
-//    QueryBatch (batch.hpp).
+//    across the worker pool; a set of queries is answered by calling run()
+//    once per query (c3tool batch) or from server threads (net/server.hpp).
 //  * run(const Query&) is the one execution entry (query.hpp): every named
 //    query method below is a thin wrapper that builds the matching Query.
 //    Queries carry their own resource control — per-query worker cap,

@@ -274,23 +274,6 @@ std::string format_answer(const Answer& a) {
   return out;
 }
 
-bool query_needs_artifacts(const Query& q) noexcept {
-  switch (q.kind) {
-    case QueryKind::Count:
-    case QueryKind::List:
-    case QueryKind::HasClique:
-    case QueryKind::FindClique:
-    case QueryKind::PerVertexCounts:
-    case QueryKind::PerEdgeCounts:
-      return q.k > 2;
-    case QueryKind::Spectrum:
-      return q.kmax <= 0 || q.kmax > 2;
-    case QueryKind::MaxClique:
-      return true;
-  }
-  return true;
-}
-
 namespace {
 
 constexpr double kPerVertexCostFactor = 1.5;

@@ -1,14 +1,12 @@
 // The typed query surface: one Query/Answer pair covering every question the
 // engine can answer.
 //
-// The engine grew three overlapping query surfaces — PreparedGraph's named
-// methods, QueryBatch's internal variant, and c3tool's string-parsed query
-// files. This header unifies them: a Query is a small value (kind + k/kmax +
-// per-query options) that round-trips through text, an Answer is the typed
-// result, and PreparedGraph::run(const Query&) is the single execution entry
-// every other surface wraps. Serving layers (QueryBatch, QueryStream,
-// CliqueService) schedule Queries and return Answers; the named methods and
-// the batch's legacy BatchQuery/BatchResult remain as thin wrappers.
+// A Query is a small value (kind + k/kmax + per-query options) that
+// round-trips through text, an Answer is the typed result, and
+// PreparedGraph::run(const Query&) is the single execution entry every other
+// surface wraps. PreparedGraph's named methods are thin wrappers over run();
+// CliqueService, the TCP server and c3tool's query files all route Queries
+// and return Answers.
 //
 // Per-query resource control lives in QueryOptions:
 //   * max_workers       — caps the query's internal parallelism without
@@ -157,11 +155,6 @@ class QueryParseError : public std::invalid_argument {
 /// keyword for that kind).
 [[nodiscard]] const char* query_kind_name(QueryKind kind) noexcept;
 
-/// Whether answering `q` may touch the prepared artifacts. Trivial sizes
-/// (k <= 2 everywhere, spectra clamped to kmax <= 2) are answered from the
-/// graph alone, so schedulers must not trigger preparation for them.
-[[nodiscard]] bool query_needs_artifacts(const Query& q) noexcept;
-
 /// Work estimate for scheduling, in arbitrary units comparable across the
 /// queries of one engine: roughly the number of elementary search steps the
 /// query will perform, derived from k and the engine's *already built*
@@ -177,7 +170,7 @@ inline constexpr double kCostCap = 1e18;
 /// Field-wise equality over the text-representable fields. The cancel token
 /// is deliberately *excluded*: it has no text form and identifies an
 /// execution, not a question — comparing it by identity made two textually
-/// identical queries unequal, breaking cache keying and batch dedup. The
+/// identical queries unequal, breaking answer-cache keying. The
 /// round-trip parse_query(format_query(q)) == q holds for every q, cancel
 /// token or not.
 [[nodiscard]] bool operator==(const QueryOptions& a, const QueryOptions& b) noexcept;

@@ -50,8 +50,8 @@ int set_num_workers(int workers) noexcept;
 /// RAII cap on num_workers() for the *calling thread* and the parallel loops
 /// it launches. Unlike set_num_workers this never touches the process-global
 /// cap, so any number of threads may cap themselves concurrently without
-/// racing each other (the per-query worker caps of Query/QueryBatch are built
-/// on it). Scopes nest and compose by minimum; `cap <= 0` means "no
+/// racing each other (the per-query worker caps of QueryOptions::max_workers
+/// are built on it). Scopes nest and compose by minimum; `cap <= 0` means "no
 /// additional cap" and leaves the thread unchanged. The previous per-thread
 /// cap is restored on destruction. A capped thread can never raise the
 /// effective worker count above the global cap.

@@ -6,6 +6,8 @@
 // still allowing scale overrides (e.g. C3_BENCH_REPS=10).
 #pragma once
 
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
 #include <optional>
 #include <string>
@@ -70,6 +72,17 @@ class CommandLine {
  private:
   std::vector<std::string> args_;
 };
+
+/// A TCP port in decimal, 0..65535; nullopt for anything else (empty,
+/// non-numeric, trailing characters, out of range), so callers refuse the
+/// value instead of binding a wrapped or default port.
+[[nodiscard]] inline std::optional<std::uint16_t> parse_port(std::string_view text) {
+  unsigned value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || value > 65535) return std::nullopt;
+  return static_cast<std::uint16_t>(value);
+}
 
 /// Integer environment variable with fallback (e.g. C3_BENCH_REPS).
 [[nodiscard]] inline long long env_int(const char* name, long long fallback) {

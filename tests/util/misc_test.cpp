@@ -132,5 +132,15 @@ TEST(Cli, EmptyArgvUsesFallbacks) {
   EXPECT_FALSE(cli.has_flag("x"));
 }
 
+TEST(Cli, ParsePortAcceptsExactlyDecimalZeroTo65535) {
+  EXPECT_EQ(parse_port("0"), std::uint16_t{0});
+  EXPECT_EQ(parse_port("7433"), std::uint16_t{7433});
+  EXPECT_EQ(parse_port("65535"), std::uint16_t{65535});
+  for (const char* bad : {"", "65536", "70000", "99999999999", "-1", "+1", " 1", "1 ", "80x",
+                          "abc", "0x50"}) {
+    EXPECT_FALSE(parse_port(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
 }  // namespace
 }  // namespace c3
