@@ -8,6 +8,7 @@
 // config exists.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -174,6 +175,31 @@ TEST(ConcurrentQueries, ConcurrentListingsSeeIsolatedStopFlags) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
+/// Samples the global worker count on its own thread from construction until
+/// stop(), and remembers whether it ever differed from the starting value.
+class GlobalWorkerObserver {
+ public:
+  GlobalWorkerObserver() : before_(num_workers()), thread_([this] {
+    while (watching_.load(std::memory_order_relaxed)) {
+      if (num_workers() != before_) saw_change_.store(true, std::memory_order_relaxed);
+      std::this_thread::yield();
+    }
+  }) {}
+
+  /// Joins the observer; true when the global count never moved.
+  bool stop() {
+    watching_.store(false, std::memory_order_relaxed);
+    thread_.join();
+    return !saw_change_.load() && num_workers() == before_;
+  }
+
+ private:
+  int before_;
+  std::atomic<bool> watching_{true};
+  std::atomic<bool> saw_change_{false};
+  std::thread thread_;
+};
+
 TEST(ConcurrentQueries, PerQueryWorkerCapsNeverWriteTheGlobalCount) {
   // Threads running queries capped at 1..4 workers side by side cap only
   // themselves (a per-thread WorkerCapScope inside run()): an observer
@@ -183,16 +209,7 @@ TEST(ConcurrentQueries, PerQueryWorkerCapsNeverWriteTheGlobalCount) {
   const GroundTruth truth(g, {});
   const PreparedGraph engine(g, {});
   engine.prepare();
-  const int before = num_workers();
-
-  std::atomic<bool> watching{true};
-  std::atomic<bool> saw_change{false};
-  std::thread observer([&] {
-    while (watching.load(std::memory_order_relaxed)) {
-      if (num_workers() != before) saw_change.store(true, std::memory_order_relaxed);
-      std::this_thread::yield();
-    }
-  });
+  GlobalWorkerObserver observer;
 
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
@@ -217,12 +234,102 @@ TEST(ConcurrentQueries, PerQueryWorkerCapsNeverWriteTheGlobalCount) {
     });
   }
   for (std::thread& th : threads) th.join();
-  watching.store(false, std::memory_order_relaxed);
-  observer.join();
 
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_FALSE(saw_change.load()) << "a per-query cap leaked into the global worker count";
+  EXPECT_TRUE(observer.stop()) << "a per-query cap leaked into the global worker count";
+}
+
+TEST(ConcurrentQueries, GlobalWorkerCountUntouchedThroughoutRun) {
+  // Four threads split the worker pool between them the way a caller
+  // sharing one machine would: each caps its own counts at a quarter of
+  // the global count. The split stays per thread; the global count never
+  // shows the reduced value.
+  const Graph g = social_like(250, 2000, 0.4, 23);
+  const GroundTruth truth(g, {});
+  const PreparedGraph engine(g, {});
+  engine.prepare();
+  const int share = std::max(1, num_workers() / 4);
+  GlobalWorkerObserver observer;
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int rep = 0; rep < 3; ++rep) {
+        for (int k = 3; k <= 5; ++k) {
+          Query q;
+          q.kind = QueryKind::Count;
+          q.k = k;
+          q.opts.max_workers = share;
+          if (engine.run(q).count != truth.counts[k - 3]) mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_TRUE(observer.stop()) << "a per-thread split leaked into the global worker count";
+}
+
+TEST(ConcurrentQueries, PerQueryWorkerCapsRespected) {
+  // Each query carries its own cap (1..3); three threads run them at once.
+  // Every capped count is the uncapped one, and the global count is intact
+  // afterwards.
+  const Graph g = erdos_renyi(180, 1400, 27);
+  const PreparedGraph engine(g, {});
+  const count_t c4 = engine.count(4).count;
+  const int before = num_workers();
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 3; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = t; i < 6; i += 3) {
+        Query q;
+        q.kind = QueryKind::Count;
+        q.k = 4;
+        q.opts.max_workers = 1 + (i % 3);
+        const Answer a = engine.run(q);
+        if (a.count != c4 || a.k != 4) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(num_workers(), before);
+}
+
+TEST(ConcurrentQueries, CappedQueriesOnTwoEnginesRestoreWorkerCap) {
+  // Two engines over one graph, each driven by its own thread with capped
+  // counts for k = 3..6: the caps must not interleave into a save/restore
+  // race that leaves the process at one thread's cap.
+  const Graph g = erdos_renyi(150, 1100, 21);
+  const PreparedGraph e1(g, {});
+  const PreparedGraph e2(g, {});
+  const count_t expect4 = e1.count(4).count;
+  const int before = num_workers();
+
+  auto run_counts = [](const PreparedGraph& engine, count_t& out) {
+    for (int k = 3; k <= 6; ++k) {
+      Query q;
+      q.kind = QueryKind::Count;
+      q.k = k;
+      q.opts.max_workers = 2;
+      const count_t c = engine.run(q).count;
+      if (k == 4) out = c;
+    }
+  };
+  count_t a_count = 0, b_count = 0;
+  std::thread a([&] { run_counts(e1, a_count); });
+  std::thread b([&] { run_counts(e2, b_count); });
+  a.join();
+  b.join();
+
+  EXPECT_EQ(num_workers(), before) << "worker cap corrupted by racing capped queries";
+  EXPECT_EQ(a_count, expect4);
+  EXPECT_EQ(b_count, expect4);
 }
 
 }  // namespace
