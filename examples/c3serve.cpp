@@ -101,6 +101,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "c3serve: bad --port '%s' (want 0-65535)\n", port_text.c_str());
     return 2;
   }
+  // Every numeric flag is read (and a malformed one refused) before any
+  // graph loads.
+  net::ServerOptions opts;
+  opts.bind_address = cli.get_string("bind", "127.0.0.1");
+  opts.port = *port;
+  opts.max_inflight_per_graph = static_cast<int>(cli.get_int("inflight", 4));
+  opts.max_inflight_total = static_cast<int>(cli.get_int("inflight-total", 0));
+  opts.cache_capacity = static_cast<std::size_t>(cli.get_int("cache", 4096));
+  opts.idle_timeout_seconds = cli.get_double("idle-timeout", 300.0);
+  const double slow_ms = cli.get_double("slow-query-ms", 0.0);
 
   CliqueService service;
   std::vector<std::string> ids;
@@ -139,15 +149,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  net::ServerOptions opts;
-  opts.bind_address = cli.get_string("bind", "127.0.0.1");
-  opts.port = *port;
-  opts.max_inflight_per_graph = static_cast<int>(cli.get_int("inflight", 4));
-  opts.max_inflight_total = static_cast<int>(cli.get_int("inflight-total", 0));
-  opts.cache_capacity = static_cast<std::size_t>(cli.get_int("cache", 4096));
-  opts.idle_timeout_seconds = cli.get_double("idle-timeout", 300.0);
-
-  const double slow_ms = cli.get_double("slow-query-ms", 0.0);
   if (slow_ms > 0.0) {
     const std::string slow_log = cli.get_string("slow-query-log", "");
     if (slow_log.empty()) {

@@ -212,9 +212,9 @@ int cmd_prepare(const CommandLine& cli) {
 }
 
 int cmd_count(const CommandLine& cli) {
+  const int k = static_cast<int>(cli.get_int("k", 5));
   const EngineSource src = make_engine(cli);
   const PreparedGraph& engine = src.engine();
-  const int k = static_cast<int>(cli.get_int("k", 5));
   WallTimer timer;
   const CliqueResult r = engine.count(k);
   std::printf("%llu %d-cliques in %.3f s (%s%s; prep %.3f s, gamma %u)\n",
@@ -225,10 +225,10 @@ int cmd_count(const CommandLine& cli) {
 }
 
 int cmd_sweep(const CommandLine& cli) {
-  const EngineSource src = make_engine(cli);
-  const PreparedGraph& engine = src.engine();
   const int kmin = static_cast<int>(cli.get_int("kmin", 3));
   const int kmax = static_cast<int>(cli.get_int("kmax", 0));
+  const EngineSource src = make_engine(cli);
+  const PreparedGraph& engine = src.engine();
 
   // Prepare once (a no-op for a snapshot-loaded engine); every query below
   // reuses the artifacts (its stats report zero preprocess seconds).
@@ -471,8 +471,8 @@ int main(int argc, char** argv) {
     usage();
     return 2;
   }
-  const CommandLine cli(argc - 1, argv + 1);
   const std::string command = argv[1];
+  const CommandLine cli(argc - 1, argv + 1, "c3tool " + command);
   try {
     if (command == "gen") return cmd_gen(cli);
     if (command == "stats") return cmd_stats(cli);

@@ -1,7 +1,8 @@
 # CLI-level test of c3tool's snapshot round trip driven by ctest:
 #   gen -> prepare -> inspect (human-readable header/fingerprint/sections)
 #   -> batch --snapshot with the typed query grammar and warm-up hints,
-# plus the refusal of malformed ports by c3tool trace --connect and c3serve.
+# plus the refusal of malformed ports by c3tool trace --connect and c3serve
+# and of malformed numeric flags.
 # Failures print the command output; any unexpected exit code or missing
 # marker string fails the test. Driven with -DC3TOOL=<binary>
 # -DC3SERVE=<binary> -DWORK_DIR=<dir>.
@@ -91,5 +92,14 @@ foreach(bad_port abc 70000 -1 80x)
   run_tool(${C3SERVE} 2 out --graph g=g.txt --port ${bad_port})
   expect_match("${out}" "bad --port '${bad_port}'")
 endforeach()
+
+# A numeric flag that is not a number is refused the same way, never read
+# as 0 (--cache abc once served with the answer cache silently off).
+run_tool(${C3SERVE} 2 out --graph g=g.txt --port 0 --cache abc)
+expect_match("${out}" "c3serve: bad --cache 'abc'")
+run_tool(${C3SERVE} 2 out --graph g=g.txt --port 0 --inflight x)
+expect_match("${out}" "c3serve: bad --inflight 'x'")
+run_c3tool(2 out count --in g.txt --k abc)
+expect_match("${out}" "c3tool count: bad --k 'abc'")
 
 message(STATUS "c3tool CLI test passed")

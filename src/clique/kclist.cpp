@@ -1,7 +1,11 @@
 #include "clique/kclist.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <numeric>
+#include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "clique/arbcount.hpp"
@@ -14,129 +18,186 @@
 namespace c3 {
 namespace {
 
-// Early-stop state and the listing callback ride in w.ctx
+// Early-stop state, the listing callback and its clique stack ride in w.ctx
 // (SearchContext::poll_stop / request_stop), the same stop source the
 // community-centric searches poll.
 
-count_t kclist_rec(const Digraph& dag, CliqueScratch& w, int l) {
-  ++w.ctr.recursive_calls;
-  if (w.ctx.poll_stop()) return 0;
-  const std::vector<node_t>& S = w.levels[static_cast<std::size_t>(l)];
-  const CliqueCallback* callback = w.ctx.callback;
+/// One source's sub-DAG Dag[N+(u)] in w.kc, as the recursion reads it.
+struct SubDag {
+  CliqueScratch& w;
+  int d;            // |N+(u)|; local ids are 0..d-1
+  bool move_arcs;   // per-edge tallies: each arc id moves with its adj entry
+  const std::size_t* offsets;
+  int* adj;
+  edge_t* arcs;
+  int* degrees;
+  std::uint8_t* label;
 
-  if (l == 2) {
-    // Count the edges that stayed at level 2: each closes a clique.
-    count_t found = 0;
-    for (const node_t v : S) {
-      for (const node_t x : dag.out_neighbors(v)) {
-        ++w.ctr.pairs_probed;
-        if (w.label[x] != 2) continue;
-        if (callback != nullptr && w.ctx.poll_stop()) return found;
-        ++found;
-        if (callback != nullptr) {
-          w.clique_stack.push_back(dag.original_id(v));
-          w.clique_stack.push_back(dag.original_id(x));
-          if (!(*callback)(std::span<const node_t>(w.clique_stack))) w.ctx.request_stop();
-          w.clique_stack.pop_back();
-          w.clique_stack.pop_back();
-          if (w.ctx.stopped) return found;
-        }
-      }
-    }
-    w.ctr.leaf_work += found;
-    return found;
+  [[nodiscard]] int* row(int x) const noexcept { return adj + offsets[x]; }
+  [[nodiscard]] edge_t* arc_row(int x) const noexcept { return arcs + offsets[x]; }
+  /// deg_l, indexed by local id.
+  [[nodiscard]] int* degree(int l) const noexcept {
+    return degrees + static_cast<std::size_t>(l - 2) * static_cast<std::size_t>(d);
   }
 
-  count_t total = 0;
-  std::vector<node_t>& next = w.levels[static_cast<std::size_t>(l - 1)];
-  for (const node_t v : S) {
-    if (w.ctx.stopped) break;
-    // Descend into N+(v) ∩ S: exactly the out-neighbors still labeled l.
-    next.clear();
-    for (const node_t x : dag.out_neighbors(v)) {
-      ++w.ctr.pairs_probed;
-      if (w.label[x] == l) {
-        w.label[x] = l - 1;
-        next.push_back(x);
-        ++w.ctr.edges_matched;
+  /// Moves the members of level `below` to the front of x's first `live`
+  /// entries (its members at the level above) and returns how many there
+  /// are: deg_below(x).
+  template <Mode M>
+  int partition(int x, int live, std::uint8_t below) const noexcept {
+    int* r = row(x);
+    int end = live;
+    for (int i = 0; i < end;) {
+      if (label[r[i]] == below) {
+        ++i;
+        continue;
+      }
+      --end;
+      std::swap(r[i], r[end]);
+      if constexpr (M == Mode::Tally) {
+        if (move_arcs) std::swap(arc_row(x)[i], arc_row(x)[end]);
       }
     }
-    if (static_cast<int>(next.size()) >= l - 1) {
-      if (callback != nullptr) w.clique_stack.push_back(dag.original_id(v));
-      total += kclist_rec(dag, w, l - 1);
-      if (callback != nullptr) w.clique_stack.pop_back();
-    }
-    // Backtrack: restore the labels consumed above.
-    for (const node_t x : next) w.label[x] = l;
+    w.ctr.pairs_probed += static_cast<count_t>(live);
+    w.ctr.edges_matched += static_cast<count_t>(end);
+    return end;
   }
-  return total;
+};
+
+/// Builds w.kc's sub-DAG of Dag[N+(u)]: row x holds the local ids of x's
+/// out-neighbours inside N+(u), and deg_{k-1}(x) is its length. The vertex
+/// map is reset before the search starts, so no callback can see it dirty.
+SubDag build_sub_dag(const Digraph& dag, node_t u, int k, CliqueScratch& w, bool move_arcs) {
+  KcListScratch& s = w.kc;
+  const auto out = dag.out_neighbors(u);
+  const auto d = static_cast<int>(out.size());
+  const auto offsets = dag.raw_out_offsets();
+  if (s.local_id.size() < dag.num_nodes()) s.local_id.resize(dag.num_nodes(), -1);
+  for (int i = 0; i < d; ++i) s.local_id[out[static_cast<std::size_t>(i)]] = i;
+  s.offsets.resize(static_cast<std::size_t>(d) + 1);
+  s.adj.clear();
+  s.arcs.clear();
+  s.offsets[0] = 0;
+  for (int i = 0; i < d; ++i) {
+    const node_t x = out[static_cast<std::size_t>(i)];
+    const auto xout = dag.out_neighbors(x);
+    for (std::size_t j = 0; j < xout.size(); ++j) {
+      const int b = s.local_id[xout[j]];
+      if (b < 0) continue;
+      s.adj.push_back(b);
+      if (move_arcs) s.arcs.push_back(offsets[x] + j);
+    }
+    s.offsets[static_cast<std::size_t>(i) + 1] = s.adj.size();
+    w.ctr.pairs_probed += xout.size();
+  }
+  w.ctr.edges_matched += s.adj.size();
+  for (const node_t x : out) s.local_id[x] = -1;
+
+  s.degree.resize(static_cast<std::size_t>(k - 2) * static_cast<std::size_t>(d));
+  s.label.assign(static_cast<std::size_t>(d), static_cast<std::uint8_t>(k - 1));
+  if (s.all.size() < static_cast<std::size_t>(d)) {
+    const auto from = static_cast<int>(s.all.size());
+    s.all.resize(static_cast<std::size_t>(d));
+    std::iota(s.all.begin() + from, s.all.end(), from);
+  }
+  SubDag t{w, d, move_arcs, s.offsets.data(), s.adj.data(), s.arcs.data(), s.degree.data(),
+           s.label.data()};
+  int* top = t.degree(k - 1);
+  for (int x = 0; x < d; ++x) top[x] = static_cast<int>(t.offsets[x + 1] - t.offsets[x]);
+  return t;
 }
 
-/// Aggregation mode's kclist_rec. Cliques are tallied per vertex in
-/// w.ctx.local_counts, indexed by rank. The l == 2 leaf credits each
-/// closing arc (v, x) once; every other arc (v, x) of a clique joins the
-/// vertex v that spawned a level to one of that level's candidates x, and
-/// is credited as the level unwinds with the growth of x's count below v.
-count_t kclist_tally_rec(const Digraph& dag, CliqueScratch& w, int l) {
+/// The l == 2 leaf: every member v closes deg_2(v) cliques, one with each
+/// of the first deg_2(v) entries of its row.
+template <Mode M>
+count_t leaf(const SubDag& t, std::span<const int> S) {
+  CliqueScratch& w = t.w;
+  const int* deg = t.degree(2);
+  count_t found = 0;
+  if constexpr (M == Mode::Count) {
+    for (const int v : S) found += static_cast<count_t>(deg[v]);
+  } else if constexpr (M == Mode::Tally) {
+    std::vector<count_t>& counts = w.ctx.local_counts;
+    for (const int v : S) {
+      const int* r = t.row(v);
+      for (int j = 0; j < deg[v]; ++j) ++counts[static_cast<std::size_t>(r[j])];
+      if (t.move_arcs) {
+        const edge_t* arcs = t.arc_row(v);
+        for (int j = 0; j < deg[v]; ++j) ++w.ctx.tally->edge[arcs[j]];
+      }
+      counts[static_cast<std::size_t>(v)] += static_cast<count_t>(deg[v]);
+      found += static_cast<count_t>(deg[v]);
+    }
+  } else {
+    std::vector<node_t>& stack = w.ctx.clique_stack;
+    const node_t* orig = w.ctx.member_to_orig;
+    for (const int v : S) {
+      const int* r = t.row(v);
+      stack.push_back(orig[v]);
+      for (int j = 0; j < deg[v] && !w.ctx.poll_stop(); ++j) {
+        stack.push_back(orig[r[j]]);
+        const bool keep_going = (*w.ctx.callback)(std::span<const node_t>(stack));
+        stack.pop_back();
+        ++found;
+        if (!keep_going) w.ctx.request_stop();
+      }
+      stack.pop_back();
+      if (w.ctx.stopped) break;
+    }
+  }
+  w.ctr.leaf_work += found;
+  return found;
+}
+
+/// Danisch's kClist recursion at level l over its members S: each member v
+/// with deg_l(v) >= l - 1 spawns level l - 1, the first deg_l(v) entries of
+/// its row; each of those has its row partitioned so that its first
+/// deg_{l-1} entries are its members of the new level. Tally mode credits
+/// each arc (v, x) of the spawned level, as the level unwinds, with the
+/// growth of x's count below v; the leaf credits the closing arcs.
+template <Mode M>
+count_t descend(const SubDag& t, std::span<const int> S, int l) {
+  CliqueScratch& w = t.w;
   ++w.ctr.recursive_calls;
   if (w.ctx.poll_stop()) return 0;
-  const std::vector<node_t>& S = w.levels[static_cast<std::size_t>(l)];
-  const auto offsets = dag.raw_out_offsets();
+  if (l == 2) return leaf<M>(t, S);
+
+  const int* deg = t.degree(l);
+  int* next = t.degree(l - 1);
+  const auto level = static_cast<std::uint8_t>(l);
+  const auto below = static_cast<std::uint8_t>(l - 1);
   std::vector<count_t>& counts = w.ctx.local_counts;
-  std::vector<count_t>& edge = w.ctx.tally->edge;
-  const bool edges = w.ctx.tally_edges();
-
-  if (l == 2) {
-    count_t found = 0;
-    for (const node_t v : S) {
-      const auto out = dag.out_neighbors(v);
-      count_t closing = 0;
-      for (std::size_t i = 0; i < out.size(); ++i) {
-        ++w.ctr.pairs_probed;
-        if (w.label[out[i]] != 2) continue;
-        ++closing;
-        ++counts[out[i]];
-        if (edges) ++edge[offsets[v] + i];
-      }
-      counts[v] += closing;
-      found += closing;
-    }
-    w.ctr.leaf_work += found;
-    return found;
-  }
-
+  std::vector<count_t>& seen = w.kc.seen;
   count_t total = 0;
-  const auto below = static_cast<std::size_t>(l - 1);
-  std::vector<node_t>& next = w.levels[below];
-  std::vector<edge_t>& arcs = w.level_arcs[below];
-  std::vector<count_t>& seen = w.level_seen[below];
-  for (const node_t v : S) {
+  for (const int v : S) {
     if (w.ctx.stopped) break;
-    next.clear();
-    arcs.clear();
-    const auto out = dag.out_neighbors(v);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      ++w.ctr.pairs_probed;
-      if (w.label[out[i]] == l) {
-        w.label[out[i]] = l - 1;
-        next.push_back(out[i]);
-        arcs.push_back(offsets[v] + i);
-        ++w.ctr.edges_matched;
+    if (deg[v] < l - 1) continue;  // too few members to close a clique
+    const std::span<const int> children(t.row(v), static_cast<std::size_t>(deg[v]));
+    for (const int x : children) t.label[x] = below;
+    for (const int x : children) next[x] = t.partition<M>(x, deg[x], below);
+
+    if constexpr (M == Mode::List) w.ctx.clique_stack.push_back(w.ctx.member_to_orig[v]);
+    const std::size_t base = seen.size();
+    if constexpr (M == Mode::Tally) {
+      if (t.move_arcs) {
+        for (const int x : children) seen.push_back(counts[static_cast<std::size_t>(x)]);
       }
     }
-    if (static_cast<int>(next.size()) >= l - 1) {
-      seen.clear();
-      if (edges) {
-        for (const node_t x : next) seen.push_back(counts[x]);
+    const count_t found = descend<M>(t, children, l - 1);
+    total += found;
+    if constexpr (M == Mode::List) w.ctx.clique_stack.pop_back();
+    if constexpr (M == Mode::Tally) {
+      counts[static_cast<std::size_t>(v)] += found;
+      if (t.move_arcs && found > 0) {
+        const edge_t* arcs = t.arc_row(v);
+        for (std::size_t j = 0; j < children.size(); ++j) {
+          w.ctx.tally->edge[arcs[j]] +=
+              counts[static_cast<std::size_t>(children[j])] - seen[base + j];
+        }
       }
-      const count_t found = kclist_tally_rec(dag, w, l - 1);
-      counts[v] += found;
-      total += found;
-      if (edges && found > 0) {
-        for (std::size_t j = 0; j < next.size(); ++j) edge[arcs[j]] += counts[next[j]] - seen[j];
-      }
+      seen.resize(base);
     }
-    for (const node_t x : next) w.label[x] = l;
+    for (const int x : children) t.label[x] = level;
   }
   return total;
 }
@@ -157,73 +218,59 @@ CliqueResult kclist_search(const Digraph& dag, int k, const CliqueSink& sink, St
   result.stats.top_level_tasks = n;
   scratch.reset_query(stop, sink);
 
-  try {
-    parallel_for_dynamic(
-        0, n,
-        [&](std::size_t u) {
-          CliqueScratch& w = scratch.local();
-          if (w.ctx.poll_stop()) return;
-          if (w.label.size() < static_cast<std::size_t>(n)) w.label.assign(n, 0);
-          if (w.levels.size() < static_cast<std::size_t>(k)) {
-            w.levels.resize(static_cast<std::size_t>(k));
-            w.level_arcs.resize(static_cast<std::size_t>(k));
-            w.level_seen.resize(static_cast<std::size_t>(k));
-          }
-          const auto out = dag.out_neighbors(static_cast<node_t>(u));
-          if (static_cast<int>(out.size()) < k - 1) return;
+  parallel_for_dynamic(
+      0, n,
+      [&](std::size_t source) {
+        const auto u = static_cast<node_t>(source);
+        CliqueScratch& w = scratch.local();
+        if (w.ctx.poll_stop()) return;
+        const auto out = dag.out_neighbors(u);
+        if (static_cast<int>(out.size()) < k - 1) return;
 
-          // Dense-subproblem path (counting and aggregation): when N+(u) is
-          // dense enough, re-represent it as a bitset LocalGraph and run the
-          // vertex-growth recursion on the SIMD kernels instead of the CSR
-          // label filtering. The arc bound costs one pass over N+(u).
-          if (callback == nullptr) {
-            std::int64_t arcs_upper = 0;
-            for (const node_t x : out) {
-              arcs_upper += std::min<std::int64_t>(
-                  static_cast<std::int64_t>(dag.out_neighbors(x).size()),
-                  static_cast<std::int64_t>(out.size()));
-            }
-            if (use_dense_subproblem(static_cast<int>(out.size()), arcs_upper)) {
-              w.count += arbcount_task(dag, static_cast<node_t>(u), k, w);
-              return;
-            }
+        // Dense-subproblem path (counting and aggregation): when N+(u) is
+        // dense enough, re-represent it as a bitset LocalGraph and run the
+        // vertex-growth recursion on the SIMD kernels instead of the CSR
+        // sub-DAG. The arc bound costs one pass over N+(u).
+        if (callback == nullptr) {
+          std::int64_t arcs_upper = 0;
+          for (const node_t x : out) {
+            arcs_upper += std::min<std::int64_t>(
+                static_cast<std::int64_t>(dag.out_neighbors(x).size()),
+                static_cast<std::int64_t>(out.size()));
           }
+          if (use_dense_subproblem(static_cast<int>(out.size()), arcs_upper)) {
+            w.count += arbcount_task(dag, u, k, w);
+            return;
+          }
+        }
 
-          std::vector<node_t>& top = w.levels[static_cast<std::size_t>(k - 1)];
-          top.assign(out.begin(), out.end());
-          for (const node_t x : top) w.label[x] = k - 1;
-          if (w.ctx.tally == nullptr) {
-            if (callback != nullptr) {
-              w.clique_stack.clear();
-              w.clique_stack.push_back(dag.original_id(static_cast<node_t>(u)));
-            }
-            w.count += kclist_rec(dag, w, k - 1);
-          } else {
-            // The task's flush: u's count, and each arc (u, x) gets x's count.
-            std::vector<count_t>& counts = w.ctx.local_counts;
-            if (counts.size() < static_cast<std::size_t>(n)) counts.resize(n);
-            const count_t found = kclist_tally_rec(dag, w, k - 1);
-            w.count += found;
-            CliqueTally& t = *w.ctx.tally;
-            t.vertex[dag.original_id(static_cast<node_t>(u))] += found;
-            const edge_t first_arc = dag.raw_out_offsets()[u];
-            for (std::size_t i = 0; i < top.size(); ++i) {
-              count_t& c = counts[top[i]];
-              if (c == 0) continue;
-              t.vertex[dag.original_id(top[i])] += c;
-              if (!t.edge.empty()) t.edge[first_arc + i] += c;
-              c = 0;
-            }
-          }
-          for (const node_t x : top) w.label[x] = 0;
-        },
-        1);
-  } catch (...) {
-    // The unwind skipped the label backtracking above; flag the lease so
-    // the next query's reset_query re-zeroes before trusting the invariant.
-    scratch.labels_dirty = true;
-    throw;
-  }
+        CliqueTally* tally = w.ctx.tally;
+        const SubDag t = build_sub_dag(dag, u, k, w, tally != nullptr && w.ctx.tally_edges());
+        if (callback != nullptr || tally != nullptr) {
+          w.member_orig.resize(out.size());
+          for (std::size_t i = 0; i < out.size(); ++i) w.member_orig[i] = dag.original_id(out[i]);
+          w.ctx.member_to_orig = w.member_orig.data();
+        }
+        if (callback != nullptr) {
+          w.ctx.clique_stack.clear();
+          w.ctx.clique_stack.push_back(dag.original_id(u));
+        }
+        if (tally != nullptr && w.ctx.local_counts.size() < out.size())
+          w.ctx.local_counts.resize(out.size());
+
+        const std::span<const int> top(w.kc.all.data(), out.size());
+        const count_t found = with_mode(
+            w.ctx, [&](auto mode) { return descend<decltype(mode)::value>(t, top, k - 1); });
+        w.count += found;
+        if (tally != nullptr) {
+          // Local vertex a is out[a], the arc from u at that out-list position.
+          const node_t outer[] = {dag.original_id(u)};
+          const edge_t first_arc = dag.raw_out_offsets()[u];
+          flush_task_tally(w.ctx, found, t.d, outer, 0,
+                           [&](std::size_t, int a) { return first_arc + static_cast<edge_t>(a); });
+        }
+      },
+      1);
 
   scratch.merge_into(result);
   result.stats.search_seconds = search_timer.seconds();

@@ -38,19 +38,6 @@ bool emit(SearchContext& ctx) {
   return (*ctx.callback)(std::span<const node_t>(ctx.clique_stack));
 }
 
-/// What the recursion does with the cliques it finds (SearchContext): count
-/// them, list them through the callback, or tally them per vertex and edge.
-/// A template parameter, so each mode's leaves carry no test of the others.
-enum class Mode { Count, List, Tally };
-
-/// Calls run(std::integral_constant<Mode, M>) with the context's mode M.
-template <typename Run>
-count_t with_mode(const SearchContext& ctx, Run&& run) {
-  if (ctx.callback != nullptr) return run(std::integral_constant<Mode, Mode::List>{});
-  if (ctx.tally != nullptr) return run(std::integral_constant<Mode, Mode::Tally>{});
-  return run(std::integral_constant<Mode, Mode::Count>{});
-}
-
 /// Pushes local vertices onto the partial clique of a listing or tally
 /// search, and pops them again on scope exit.
 template <Mode M>

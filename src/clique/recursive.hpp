@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "clique/common.hpp"
@@ -127,6 +128,20 @@ struct SearchContext {
   std::size_t mask_stride_ = 0;
   std::size_t depth_ = 0;
 };
+
+/// What a recursion does with the cliques it finds (SearchContext): count
+/// them, list them through the callback, or tally them per vertex and edge.
+/// A template parameter, so each mode's leaves carry no test of the others.
+/// Shared by Algorithm 2's recursions here and kcList's (kclist.cpp).
+enum class Mode { Count, List, Tally };
+
+/// Calls run(std::integral_constant<Mode, M>) with the context's mode M.
+template <typename Run>
+count_t with_mode(const SearchContext& ctx, Run&& run) {
+  if (ctx.callback != nullptr) return run(std::integral_constant<Mode, Mode::List>{});
+  if (ctx.tally != nullptr) return run(std::integral_constant<Mode, Mode::Tally>{});
+  return run(std::integral_constant<Mode, Mode::Count>{});
+}
 
 /// Ends one aggregation task whose search found `found` cliques among the
 /// local vertices below `end`: moves their local_counts into the tally and

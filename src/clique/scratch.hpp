@@ -13,7 +13,6 @@
 // empty and cost nothing.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -62,6 +61,23 @@ struct CdSourceScratch {
   bits::KernelWords mask;               // the current task's V'(e)
 };
 
+/// Per-source state of kcList's CSR path (kclist.cpp), after Danisch et al.:
+/// the sub-DAG Dag[N+(u)] with local ids = out-list positions 0..d-1. Each
+/// level l of the recursion keeps deg_l(x) for its members x: the members of
+/// level l - 1 below x are the first deg_l(x) entries of x's row, which the
+/// level above partitioned in place. Every buffer is rebuilt per source, so
+/// an exception thrown mid-search leaves nothing to repair.
+struct KcListScratch {
+  std::vector<int> local_id;  // DAG vertex -> local id; all -1 outside the sub-DAG build
+  std::vector<std::size_t> offsets;  // row x is adj[offsets[x] .. offsets[x + 1])
+  std::vector<int> adj;       // each row's out-neighbours inside N+(u), in local ids
+  std::vector<edge_t> arcs;   // the DAG arc id of each adj entry (per-edge tallies only)
+  std::vector<int> degree;    // deg_l(x) at (l - 2) * d + x, for l = 2..k-1
+  std::vector<std::uint8_t> label;  // local id -> the lowest level holding it
+  std::vector<int> all;             // 0, 1, 2, ...: the top level's members
+  std::vector<count_t> seen;  // per-edge tallies: each open level's members' counts at its start
+};
+
 /// Per-worker state of the pivot pass (pivot.cpp): the candidate and branch
 /// sets of every recursion level, and the histogram of the leaves found.
 struct PivotScratch {
@@ -103,24 +119,17 @@ struct CliqueScratch {
   // Hybrid aggregation: lg_aux's edge slots, before the inner-order renaming.
   std::vector<edge_t> edge_slots_aux;
 
-  // kcList: per-level label array and candidate sets. (ArbCount's per-level
-  // candidate masks live in ctx — search_cliques_vertex uses the same
-  // aligned mask pool as the edge-growth recursion.) In aggregation mode,
-  // parallel to each level's candidates: the arc from the vertex that
-  // spawned the level, and the candidate's count when the level began.
-  std::vector<int> label;
-  std::vector<std::vector<node_t>> levels;
-  std::vector<std::vector<edge_t>> level_arcs;
-  std::vector<std::vector<count_t>> level_seen;
-
-  // kcList listing stack (c3List's and ArbCount's live in ctx.clique_stack).
-  std::vector<node_t> clique_stack;
+  // kcList's CSR path: one source's sub-DAG and its per-level degrees.
+  // (ArbCount's and kcList's dense path's candidate masks live in ctx —
+  // search_cliques_vertex uses the same aligned mask pool as the edge-growth
+  // recursion.)
+  KcListScratch kc;
 
   // Per-query accumulators. Early-stop state and the sink live in ctx
   // (stopped / stop / callback / tally) for every algorithm — kcList and
-  // ArbCount use only those fields of their SearchContext, so the
-  // cross-worker stop logic exists exactly once (SearchContext::poll_stop /
-  // request_stop).
+  // ArbCount use only those fields of their SearchContext (and its listing
+  // stack), so the cross-worker stop logic exists exactly once
+  // (SearchContext::poll_stop / request_stop).
   LocalCounters ctr;
   count_t count = 0;
 
@@ -148,18 +157,11 @@ struct CliqueScratch {
 struct QueryScratch {
   PerWorker<CliqueScratch> workers;
 
-  /// Set by a search half whose traversal unwound via an exception (a
-  /// throwing listing callback): backtracking was skipped, so invariants
-  /// like kcList's all-zeros label array may be broken in the returned
-  /// lease. reset_query repairs them, and only then — the common path pays
-  /// nothing.
-  bool labels_dirty = false;
-
   /// Prepares every slot for a new search: rebuilds the slot array if the
   /// worker pool grew past it (so local() never clamps), resets the
   /// accumulators, binds `stop` and the sink to every slot (slot i gets
-  /// worker i's tally), repairs exception-dirtied labels, and begins the
-  /// search on `stop`. Warm buffers survive.
+  /// worker i's tally), and begins the search on `stop`. Warm buffers
+  /// survive.
   void reset_query(StopSource& stop, const CliqueSink& sink) {
     if (workers.size() < static_cast<std::size_t>(num_workers()))
       workers = PerWorker<CliqueScratch>();
@@ -170,9 +172,7 @@ struct QueryScratch {
                                ? &sink.tallies->per_worker[i]
                                : nullptr;
       w.reset_query(stop, sink.callback, tally);
-      if (labels_dirty) std::fill(w.label.begin(), w.label.end(), 0);
     }
-    labels_dirty = false;
     stop.begin_search();
   }
 

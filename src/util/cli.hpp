@@ -8,19 +8,50 @@
 
 #include <charconv>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace c3 {
 
+/// `text` as a T, read in full by std::from_chars (no leading '+' or
+/// whitespace, nothing trailing, in T's range); nullopt for anything else.
+template <typename T>
+[[nodiscard]] std::optional<T> parse_number(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
+}
+
+/// Refuses a malformed number: prints "<who>bad <what> '<value>'" to stderr
+/// and exits with status 2, the usage-error status of every tool here.
+[[noreturn]] inline void refuse_number(std::string_view who, std::string_view what,
+                                       std::string_view value) {
+  std::fprintf(stderr, "%.*sbad %.*s '%.*s'\n", static_cast<int>(who.size()), who.data(),
+               static_cast<int>(what.size()), what.data(), static_cast<int>(value.size()),
+               value.data());
+  std::exit(2);
+}
+
 /// Parsed argv with typed accessors. Unknown keys are simply ignored by the
-/// accessors, so binaries stay forward/backward compatible.
+/// accessors, so binaries stay forward/backward compatible. A numeric flag
+/// whose value is not a number is refused (refuse_number), never read as 0.
 class CommandLine {
  public:
-  CommandLine(int argc, const char* const* argv) {
+  /// `prog` names the program in refusals; the basename of argv[0] when
+  /// empty (a tool with subcommands passes e.g. "c3tool count").
+  CommandLine(int argc, const char* const* argv, std::string_view prog = {}) {
+    if (prog.empty() && argc > 0) {
+      prog = argv[0];
+      prog.remove_prefix(prog.find_last_of('/') + 1);
+    }
+    prog_ = std::string(prog) + ": ";
     for (int i = 1; i < argc; ++i) args_.emplace_back(argv[i]);
   }
 
@@ -55,13 +86,11 @@ class CommandLine {
   }
 
   [[nodiscard]] long long get_int(std::string_view name, long long fallback) const {
-    if (auto v = get(name)) return std::atoll(v->c_str());
-    return fallback;
+    return get_number(name, fallback);
   }
 
   [[nodiscard]] double get_double(std::string_view name, double fallback) const {
-    if (auto v = get(name)) return std::atof(v->c_str());
-    return fallback;
+    return get_number(name, fallback);
   }
 
   [[nodiscard]] std::string get_string(std::string_view name, std::string fallback) const {
@@ -70,6 +99,15 @@ class CommandLine {
   }
 
  private:
+  template <typename T>
+  [[nodiscard]] T get_number(std::string_view name, T fallback) const {
+    const auto v = get(name);
+    if (!v) return fallback;
+    if (const auto parsed = parse_number<T>(*v)) return *parsed;
+    refuse_number(prog_, "--" + std::string(name), *v);
+  }
+
+  std::string prog_;  // "<program>: ", the refusals' prefix
   std::vector<std::string> args_;
 };
 
@@ -77,17 +115,18 @@ class CommandLine {
 /// non-numeric, trailing characters, out of range), so callers refuse the
 /// value instead of binding a wrapped or default port.
 [[nodiscard]] inline std::optional<std::uint16_t> parse_port(std::string_view text) {
-  unsigned value = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc{} || ptr != end || value > 65535) return std::nullopt;
-  return static_cast<std::uint16_t>(value);
+  const std::optional<unsigned> value = parse_number<unsigned>(text);
+  if (!value || *value > 65535) return std::nullopt;
+  return static_cast<std::uint16_t>(*value);
 }
 
-/// Integer environment variable with fallback (e.g. C3_BENCH_REPS).
+/// Integer environment variable with fallback (e.g. C3_BENCH_REPS); a value
+/// that is not an integer is refused (refuse_number).
 [[nodiscard]] inline long long env_int(const char* name, long long fallback) {
   const char* v = std::getenv(name);
-  return v != nullptr ? std::atoll(v) : fallback;
+  if (v == nullptr) return fallback;
+  if (const auto parsed = parse_number<long long>(v)) return *parsed;
+  refuse_number("", name, v);
 }
 
 }  // namespace c3

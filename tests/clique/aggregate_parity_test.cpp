@@ -16,7 +16,6 @@
 
 #include "clique/api.hpp"
 #include "clique/engine.hpp"
-#include "clique/local_graph.hpp"
 #include "clique/query.hpp"
 #include "graph/builder.hpp"
 #include "graph/gen/generators.hpp"
@@ -104,20 +103,6 @@ std::vector<Config> configs() {
   return out;
 }
 
-/// Forces kcList's dense-subproblem floor for one test and restores it.
-class DenseFloorScope {
- public:
-  explicit DenseFloorScope(int floor) : saved_(dense_subproblem_min_vertices()) {
-    if (floor > 0) set_dense_subproblem_min_vertices(floor);
-  }
-  ~DenseFloorScope() { set_dense_subproblem_min_vertices(saved_); }
-  DenseFloorScope(const DenseFloorScope&) = delete;
-  DenseFloorScope& operator=(const DenseFloorScope&) = delete;
-
- private:
-  int saved_;
-};
-
 /// Runs both aggregation kinds for k = 1..kMaxK at one worker and at the
 /// full pool, and compares each against the reference. The spectrum (at
 /// both worker settings) must agree with the reference and with the
@@ -167,7 +152,7 @@ class AggregateParityTest : public ::testing::TestWithParam<Config> {};
 TEST_P(AggregateParityTest, MatchesPerCliqueReference) {
   const Config& config = GetParam();
   const testing::PoolScope pool;
-  const DenseFloorScope floor(config.dense_min);
+  const testing::DenseFloorScope floor(config.dense_min);
   for (const NamedGraph& input : graphs()) {
     const PreparedGraph engine(input.graph, config.opts);
     expect_parity(engine, input.graph, config.name + " on " + input.name);

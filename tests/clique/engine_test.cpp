@@ -200,9 +200,10 @@ TEST(Engine, TrivialSizesAndEmptyGraphs) {
 
 TEST(Engine, ThrowingCallbackLeavesEngineUsable) {
   // A callback that throws mid-enumeration unwinds past the searches'
-  // backtracking restores; the leased scratch must come back clean (e.g.
-  // kcList's label array re-zeroed) so later queries on the same engine
-  // still count correctly. Run at 1 worker: the serial loop is the only
+  // backtracking restores; the leased scratch must still serve later
+  // queries on the same engine (e.g. kcList's vertex map must be all -1
+  // again, so it is reset before any callback runs, and its labels are
+  // rebuilt per source). Run at 1 worker: the serial loop is the only
   // configuration where an exception can legally unwind (OpenMP regions
   // would terminate), and it maximizes the dirtied state.
   const Graph g = erdos_renyi(80, 600, 3);

@@ -13,6 +13,7 @@
 #include "clique/api.hpp"
 #include "clique/common.hpp"
 #include "clique/engine.hpp"
+#include "clique/local_graph.hpp"
 #include "graph/graph.hpp"
 #include "parallel/parallel.hpp"
 
@@ -67,6 +68,21 @@ class PoolScope {
   ~PoolScope() { set_num_workers(saved_); }
   PoolScope(const PoolScope&) = delete;
   PoolScope& operator=(const PoolScope&) = delete;
+
+ private:
+  int saved_;
+};
+
+/// Forces kcList's dense-subproblem floor (0 = leave it) for one test and
+/// restores it.
+class DenseFloorScope {
+ public:
+  explicit DenseFloorScope(int floor) : saved_(dense_subproblem_min_vertices()) {
+    if (floor > 0) set_dense_subproblem_min_vertices(floor);
+  }
+  ~DenseFloorScope() { set_dense_subproblem_min_vertices(saved_); }
+  DenseFloorScope(const DenseFloorScope&) = delete;
+  DenseFloorScope& operator=(const DenseFloorScope&) = delete;
 
  private:
   int saved_;

@@ -142,5 +142,23 @@ TEST(Cli, ParsePortAcceptsExactlyDecimalZeroTo65535) {
   }
 }
 
+TEST(Cli, ParseNumberReadsTheWholeValue) {
+  EXPECT_EQ(parse_number<long long>("-12"), -12);
+  EXPECT_EQ(parse_number<double>("0.25"), 0.25);
+  for (const char* bad : {"", "abc", "12x", " 1", "+1", "1.5", "99999999999999999999"}) {
+    EXPECT_FALSE(parse_number<long long>(bad).has_value()) << "'" << bad << "'";
+  }
+  EXPECT_FALSE(parse_number<double>("0.5s").has_value());
+}
+
+TEST(CliDeathTest, MalformedNumbersAreRefusedWithExitTwo) {
+  const char* argv[] = {"/usr/bin/prog", "--k", "abc", "--eps=x"};
+  const CommandLine cli(4, argv);
+  EXPECT_EXIT((void)cli.get_int("k", 5), ::testing::ExitedWithCode(2), "prog: bad --k 'abc'");
+  EXPECT_EXIT((void)cli.get_double("eps", 0.5), ::testing::ExitedWithCode(2),
+              "prog: bad --eps 'x'");
+  EXPECT_EQ(cli.get_int("missing", 7), 7);
+}
+
 }  // namespace
 }  // namespace c3
