@@ -10,7 +10,7 @@
 // queries from it: counts and listings for any k, the full clique spectrum,
 // per-vertex/per-edge local counts, and maximum-clique searches. It also
 // owns a ScratchPool of per-query state (local bitset subgraphs, recursion
-// stacks, label arrays), so repeated queries reuse warm buffers instead of
+// stacks, sub-DAGs), so repeated queries reuse warm buffers instead of
 // reallocating.
 //
 // Contract (see DESIGN.md Section 2):

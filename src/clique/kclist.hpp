@@ -4,10 +4,11 @@
 // Vertex-centric backtracking over a graph oriented by the *exact*
 // degeneracy order: for each vertex u (in parallel), search (k-1)-cliques in
 // N+(u) by repeatedly picking a vertex v of the current candidate set and
-// descending into N+(v) ∩ S. Membership of the shrinking candidate set is
-// tracked with the per-level label array of the original kClist
-// implementation (label[w] == l  <=>  w survives at level l). Work
-// O(k m (s/2)^(k-2)), depth O(n + log^2 n) from the sequential order
+// descending into N+(v) ∩ S. As in the original kClist implementation, each
+// source's search runs on the sub-DAG Dag[N+(u)] in local ids, whose rows
+// are partitioned in place so that the first deg_l(x) entries of x's row
+// are its neighbours at level l (DESIGN.md Section 2, "kcList's sub-DAG").
+// Work O(k m (s/2)^(k-2)), depth O(n + log^2 n) from the sequential order
 // computation (Table 1).
 #pragma once
 

@@ -102,8 +102,9 @@ TEST(KCList, CsrPathAgreesOnSparseAndWideNeighbourhoods) {
     collector.expect_valid(expect);
   }
 
-  // A clique planted inside the sparse graph, so that edges (and vertices)
-  // differ in their counts and a tally credited to the wrong arc shows.
+  // A K40 planted inside a denser ER graph: its out-neighbourhoods mix
+  // clique and background vertices, so edges (and vertices) differ in
+  // their counts and a tally credited to the wrong arc shows.
   const Graph planted = planted_clique(150, 2500, 40, 43);
   const PreparedGraph kc_planted(planted, opts);
   const PreparedGraph c3_planted(planted, {});
