@@ -23,6 +23,7 @@
 // times so the measurement window is long enough to resolve the budget.)
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -199,32 +200,51 @@ int main(int argc, char** argv) {
   }
 
   // ---- 1. overhead: telemetry ON vs OFF, interleaved, min-of-reps --------
-  // One trip through the mix is a few milliseconds — far too short to
-  // resolve a 2% delta against scheduler jitter on a shared core. Calibrate
-  // an inner repeat count so each timed pass runs for at least ~50ms.
+  // One trip through the mix takes a few milliseconds, and a pass of ~50ms
+  // could not resolve a 2% delta against scheduler jitter on a shared host
+  // (it failed 4 of 15 runs on unchanged code). Calibrate an inner repeat
+  // count so each mode's pass runs for at least 0.25s, timing enough trips
+  // (>= 0.1s) that the calibration itself is not jitter.
   const auto mix_once = [&] {
     for (const std::string& r : requests) (void)frontend.process(r);
   };
   const WallTimer calibrate_timer;
-  mix_once();
-  const double mix_seconds = calibrate_timer.seconds();
-  const int inner = static_cast<int>(std::clamp(
-      mix_seconds > 0.0 ? 0.05 / mix_seconds : 64.0, 1.0, 64.0));
-  const auto pass = [&] {
+  int calibrate_trips = 0;
+  do {
+    mix_once();
+    ++calibrate_trips;
+  } while (calibrate_timer.seconds() < 0.1);
+  const double mix_seconds = calibrate_timer.seconds() / calibrate_trips;
+  const int inner = static_cast<int>(std::clamp(std::ceil(0.3 / mix_seconds), 1.0, 8192.0));
+  const auto timed_trip = [&](bool telemetry) {
+    obs::set_enabled(telemetry);
     const WallTimer timer;
-    for (int i = 0; i < inner; ++i) mix_once();
+    mix_once();
     return timer.seconds();
   };
-  double on_best = 0.0, off_best = 0.0;
+  // Each rep runs both passes, alternating trip by trip in ABBA order, so
+  // host drift (thermal, neighbours, page cache) and whatever the first trip
+  // after a switch pays land on both modes alike. A mode's time is the sum
+  // over trip slots of that slot's minimum over the reps: the minimum drops
+  // a slowdown that hit one rep, per trip instead of per whole pass.
+  std::vector<double> on_min(static_cast<std::size_t>(inner)),
+      off_min(static_cast<std::size_t>(inner));
   for (int rep = 0; rep < reps; ++rep) {
-    // Interleave the modes so slow drift (thermal, page cache) hits both.
-    obs::set_enabled(true);
-    const double on = pass();
-    obs::set_enabled(false);
-    const double off = pass();
-    obs::set_enabled(true);
-    on_best = rep == 0 ? on : std::min(on_best, on);
-    off_best = rep == 0 ? off : std::min(off_best, off);
+    for (std::size_t i = 0; i < on_min.size(); ++i) {
+      const bool on_first = i % 2 == 0;
+      const double first = timed_trip(on_first);
+      const double second = timed_trip(!on_first);
+      const double on = on_first ? first : second;
+      const double off = on_first ? second : first;
+      on_min[i] = rep == 0 ? on : std::min(on_min[i], on);
+      off_min[i] = rep == 0 ? off : std::min(off_min[i], off);
+    }
+  }
+  obs::set_enabled(true);
+  double on_best = 0.0, off_best = 0.0;
+  for (std::size_t i = 0; i < on_min.size(); ++i) {
+    on_best += on_min[i];
+    off_best += off_min[i];
   }
   const double overhead_pct =
       off_best > 0.0 ? (on_best - off_best) / off_best * 100.0 : 0.0;

@@ -22,7 +22,7 @@ count_t arbcount_task(const Digraph& dag, node_t u, int k, CliqueScratch& w) {
   CliqueTally* tally = w.ctx.tally;
 
   // Induce and rename G[N+(u)] (the per-vertex re-representation).
-  build_local_graph(dag, members, w.lg,
+  build_local_graph(dag, members, w.lg, w.local_id,
                     tally != nullptr ? w.ctx.begin_tally_task(static_cast<int>(members.size()))
                                      : nullptr);
 

@@ -76,19 +76,20 @@ CliqueResult c3list_search(const Digraph& dag, const EdgeCommunities& comms, int
         }
 
         // The universe U(u): the targets of u's qualifying arcs and their
-        // communities, a subsequence of N+(u) in rank order.
-        if (w.in_universe.size() < dag.num_nodes()) w.in_universe.resize(dag.num_nodes());
+        // communities, a subsequence of N+(u) in rank order. The vertex map
+        // marks them (0) and is back to -1 once they are collected.
+        if (w.local_id.size() < dag.num_nodes()) w.local_id.resize(dag.num_nodes(), -1);
         for (std::size_t i = 0; i < out.size(); ++i) {
           const edge_t e = first_arc + i;
           if (!qualifies(e)) continue;
-          w.in_universe[out[i]] = 1;
-          for (const node_t x : comms.members(e)) w.in_universe[x] = 1;
+          w.local_id[out[i]] = 0;
+          for (const node_t x : comms.members(e)) w.local_id[x] = 0;
         }
         w.universe.clear();
         w.universe_arcs.clear();
         for (std::size_t i = 0; i < out.size(); ++i) {
-          if (w.in_universe[out[i]] == 0) continue;
-          w.in_universe[out[i]] = 0;
+          if (w.local_id[out[i]] < 0) continue;
+          w.local_id[out[i]] = -1;
           w.universe.push_back(out[i]);
           w.universe_arcs.push_back(first_arc + i);
         }
@@ -98,7 +99,7 @@ CliqueResult c3list_search(const Digraph& dag, const EdgeCommunities& comms, int
         // adjacency of Dag[U(u)] once; every qualifying arc's community is a
         // masked row of it (Section 2.2 preprocessing).
         const int size = static_cast<int>(w.universe.size());
-        build_local_graph(dag, w.universe, w.lg,
+        build_local_graph(dag, w.universe, w.lg, w.local_id,
                           tally != nullptr ? w.ctx.begin_tally_task(size) : nullptr);
         w.ctx.lg = &w.lg;
         w.ctx.prune = opts.distance_pruning;

@@ -30,7 +30,7 @@ bool owns(const Graph& g, node_t u, node_t v) noexcept {
 /// Every member x of V'(e) has pos(u, x) > pos(e), so V'(e) lies in the
 /// prefix [0, end(e)) of U(u). Also records each task's end and V'(e) in
 /// local ids, the edge from u to each local vertex (w.universe_arcs), and
-/// first_cover. Leaves w.cd.local_id mapping U(u) to local ids. Returns
+/// first_cover. Leaves w.local_id mapping U(u) to local ids. Returns
 /// false, with nothing collected, when u owns no qualifying edge.
 template <typename Qualifies>
 bool collect_universe(const Graph& g, const EdgeOrderResult& order, node_t u,
@@ -47,13 +47,13 @@ bool collect_universe(const Graph& g, const EdgeOrderResult& order, node_t u,
   std::sort(s.tasks.begin(), s.tasks.end(),
             [](const auto& x, const auto& y) { return x.pos > y.pos; });
 
-  if (s.local_id.size() < g.num_nodes()) s.local_id.resize(g.num_nodes(), -1);
+  if (w.local_id.size() < g.num_nodes()) w.local_id.resize(g.num_nodes(), -1);
   for (const auto& t : s.tasks) {
-    for (const node_t x : order.candidates(t.e)) s.local_id[x] = 0;
+    for (const node_t x : order.candidates(t.e)) w.local_id[x] = 0;
   }
   s.by_pos.clear();
   for (std::size_t i = 0; i < nbrs.size(); ++i) {
-    if (s.local_id[nbrs[i]] >= 0) s.by_pos.emplace_back(order.pos[ids[i]], i);
+    if (w.local_id[nbrs[i]] >= 0) s.by_pos.emplace_back(order.pos[ids[i]], i);
   }
   std::sort(s.by_pos.begin(), s.by_pos.end(),
             [](const auto& x, const auto& y) { return x.first > y.first; });
@@ -64,7 +64,7 @@ bool collect_universe(const Graph& g, const EdgeOrderResult& order, node_t u,
     const std::size_t i = s.by_pos[a].second;
     w.universe[a] = nbrs[i];
     w.universe_arcs[a] = ids[i];
-    s.local_id[nbrs[i]] = static_cast<int>(a);
+    w.local_id[nbrs[i]] = static_cast<int>(a);
   }
 
   s.members.clear();
@@ -75,7 +75,7 @@ bool collect_universe(const Graph& g, const EdgeOrderResult& order, node_t u,
     while (covered < size && s.by_pos[covered].first > task.pos) s.first_cover[covered++] = t;
     task.end = static_cast<int>(covered);
     task.first_member = s.members.size();
-    for (const node_t x : order.candidates(task.e)) s.members.push_back(s.local_id[x]);
+    for (const node_t x : order.candidates(task.e)) s.members.push_back(w.local_id[x]);
   }
   return true;
 }
@@ -93,7 +93,7 @@ void bucket_local_edges(const Graph& g, const EdgeOrderResult& order, bool with_
     const auto xn = g.neighbors(w.universe[a]);
     const auto xids = g.edge_ids(w.universe[a]);
     for (std::size_t i = 0; i < xn.size(); ++i) {
-      const int b = s.local_id[xn[i]];
+      const int b = w.local_id[xn[i]];
       if (b <= static_cast<int>(a)) continue;
       // The first task covering b reads the edge unless the edge is ordered
       // before it; then a later task with a smaller position does.
@@ -179,7 +179,7 @@ CliqueResult c3list_cd_search(const Graph& g, const EdgeOrderResult& order, int 
         }
         // Cleared before any search runs, so a throwing listing callback
         // cannot leave the map dirty for the next query on this lease.
-        for (const node_t x : w.universe) s.local_id[x] = -1;
+        for (const node_t x : w.universe) w.local_id[x] = -1;
         w.lg.reset(size);
         w.ctx.lg = &w.lg;
         w.ctx.prune = opts.distance_pruning;

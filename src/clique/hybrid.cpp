@@ -107,7 +107,7 @@ CliqueResult hybrid_search(const Digraph& dag, int k, const CliqueSink& sink, St
           w.edge_slots_aux.resize(static_cast<std::size_t>(sz) * static_cast<std::size_t>(sz));
         }
         // Induce G[N+(v)] in approximate-rank space...
-        build_local_graph(dag, members, w.lg_aux,
+        build_local_graph(dag, members, w.lg_aux, w.local_id,
                           slots != nullptr ? w.edge_slots_aux.data() : nullptr);
         // ...compute its exact degeneracy order...
         local_degeneracy_order(w.lg_aux, w.inner_order, w.deg);

@@ -72,8 +72,8 @@ SubDag build_sub_dag(const Digraph& dag, node_t u, int k, CliqueScratch& w, bool
   const auto out = dag.out_neighbors(u);
   const auto d = static_cast<int>(out.size());
   const auto offsets = dag.raw_out_offsets();
-  if (s.local_id.size() < dag.num_nodes()) s.local_id.resize(dag.num_nodes(), -1);
-  for (int i = 0; i < d; ++i) s.local_id[out[static_cast<std::size_t>(i)]] = i;
+  if (w.local_id.size() < dag.num_nodes()) w.local_id.resize(dag.num_nodes(), -1);
+  for (int i = 0; i < d; ++i) w.local_id[out[static_cast<std::size_t>(i)]] = i;
   s.offsets.resize(static_cast<std::size_t>(d) + 1);
   s.adj.clear();
   s.arcs.clear();
@@ -82,7 +82,7 @@ SubDag build_sub_dag(const Digraph& dag, node_t u, int k, CliqueScratch& w, bool
     const node_t x = out[static_cast<std::size_t>(i)];
     const auto xout = dag.out_neighbors(x);
     for (std::size_t j = 0; j < xout.size(); ++j) {
-      const int b = s.local_id[xout[j]];
+      const int b = w.local_id[xout[j]];
       if (b < 0) continue;
       s.adj.push_back(b);
       if (move_arcs) s.arcs.push_back(offsets[x] + j);
@@ -91,7 +91,7 @@ SubDag build_sub_dag(const Digraph& dag, node_t u, int k, CliqueScratch& w, bool
     w.ctr.pairs_probed += xout.size();
   }
   w.ctr.edges_matched += s.adj.size();
-  for (const node_t x : out) s.local_id[x] = -1;
+  for (const node_t x : out) w.local_id[x] = -1;
 
   s.degree.resize(static_cast<std::size_t>(k - 2) * static_cast<std::size_t>(d));
   s.label.assign(static_cast<std::size_t>(d), static_cast<std::uint8_t>(k - 1));

@@ -1,7 +1,10 @@
 #include "clique/local_graph.hpp"
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
+
+#include "util/cli.hpp"
 
 namespace c3 {
 
@@ -25,43 +28,43 @@ void LocalGraph::reset(int n) {
 }
 
 void build_local_graph(const Digraph& dag, std::span<const node_t> members, LocalGraph& lg,
-                       edge_t* arc_ids) {
+                       std::vector<int>& local_id, edge_t* arc_ids) {
   const int n = static_cast<int>(members.size());
   lg.reset(n);
+  if (local_id.size() < dag.num_nodes()) local_id.resize(dag.num_nodes(), -1);
+  for (int a = 0; a < n; ++a) local_id[members[static_cast<std::size_t>(a)]] = a;
+  const auto offsets = dag.raw_out_offsets();
   for (int a = 0; a < n; ++a) {
     const node_t u = members[static_cast<std::size_t>(a)];
     const auto out = dag.out_neighbors(u);
-    // Two-pointer walk: members are sorted ascending and out-neighbors of
-    // members[a] all rank above it, so matches have local id > a.
-    std::size_t i = 0;
-    std::size_t j = static_cast<std::size_t>(a) + 1;
-    while (i < out.size() && j < members.size()) {
-      if (out[i] < members[j]) {
-        ++i;
-      } else if (out[i] > members[j]) {
-        ++j;
-      } else {
-        lg.add_edge(a, static_cast<int>(j));
-        if (arc_ids != nullptr) {
-          const edge_t arc = dag.raw_out_offsets()[u] + i;
-          arc_ids[static_cast<std::size_t>(a) * members.size() + j] = arc;
-          arc_ids[j * members.size() + static_cast<std::size_t>(a)] = arc;
-        }
-        ++i;
-        ++j;
+    // Out-neighbours rank above u and members are sorted ascending, so every
+    // member found here has local id > a.
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      const int b = local_id[out[i]];
+      if (b < 0) continue;
+      lg.add_edge(a, b);
+      if (arc_ids != nullptr) {
+        const edge_t arc = offsets[u] + i;
+        arc_ids[static_cast<std::size_t>(a) * members.size() + static_cast<std::size_t>(b)] = arc;
+        arc_ids[static_cast<std::size_t>(b) * members.size() + static_cast<std::size_t>(a)] = arc;
       }
     }
   }
+  for (const node_t u : members) local_id[u] = -1;
 }
 
 namespace {
 
+/// The C3_DENSE_MIN override, or 32. A value that is not a positive integer
+/// is ignored with one warning naming it, as an unknown C3_KERNEL is.
 int initial_dense_min() noexcept {
-  if (const char* env = std::getenv("C3_DENSE_MIN"); env != nullptr && env[0] != '\0') {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<int>(v);
-  }
-  return 32;
+  constexpr int kDefault = 32;
+  const char* env = std::getenv("C3_DENSE_MIN");
+  if (env == nullptr || env[0] == '\0') return kDefault;
+  if (const auto v = parse_number<int>(env); v && *v > 0) return *v;
+  std::fprintf(stderr, "c3: ignoring C3_DENSE_MIN='%s' (want a positive integer), using %d\n",
+               env, kDefault);
+  return kDefault;
 }
 
 std::atomic<int>& dense_min() noexcept {

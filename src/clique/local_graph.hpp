@@ -16,7 +16,8 @@
 // build_local_graph assigns local ids in ascending rank order, so the total
 // order of the orientation is the natural `<` on local ids and the paper's
 // distance function delta_I is an index difference in the sorted candidate
-// array.
+// array. It finds each member's arcs through a per-worker vertex -> local-id
+// map (CliqueScratch::local_id), reading every out-list once.
 //
 // Storage follows the kernel substrate contract (util/bitkernels.hpp): rows
 // live in 64-byte-aligned memory with a per-row stride of
@@ -98,13 +99,16 @@ class LocalGraph {
 };
 
 /// Populates `lg` with the subgraph of `dag` induced by `members` (global
-/// ranks, sorted ascending). Every arc between members is found in the
-/// out-list of its lower endpoint via a sorted two-pointer intersection:
-/// O(sum over members of (out-degree + |members|)). When `arc_ids` is
-/// non-null it also records each local edge's DAG arc id at a * n + b and
-/// b * n + a (n = |members|), the edge slots of aggregation mode.
+/// ranks, sorted ascending). `local_id` is the caller's vertex -> local-id
+/// map: -1 for every vertex on entry (grown to dag.num_nodes() when
+/// shorter) and again on return. The build writes each member's local id
+/// into it, then reads every member's out-list once and keeps the arcs
+/// whose target maps to a local id: O(sum over members of out-degree).
+/// When `arc_ids` is non-null it also records each local edge's DAG arc id
+/// at a * n + b and b * n + a (n = |members|), the edge slots of
+/// aggregation mode.
 void build_local_graph(const Digraph& dag, std::span<const node_t> members, LocalGraph& lg,
-                       edge_t* arc_ids = nullptr);
+                       std::vector<int>& local_id, edge_t* arc_ids = nullptr);
 
 /// Dense-vs-CSR subproblem selection: true when a subproblem over
 /// `nvertices` vertices with at most `arcs_upper` arcs is worth rebuilding
@@ -114,8 +118,9 @@ void build_local_graph(const Digraph& dag, std::span<const node_t> members, Loca
 [[nodiscard]] bool use_dense_subproblem(int nvertices, std::int64_t arcs_upper) noexcept;
 
 /// The vertex-count floor for use_dense_subproblem. Default 32, overridable
-/// with the C3_DENSE_MIN environment variable at startup; settable at
-/// runtime so tests can force the dense (1) or CSR (INT_MAX) path.
+/// with the C3_DENSE_MIN environment variable (a positive integer; anything
+/// else is ignored with a warning) at first use; settable at runtime so
+/// tests can force the dense (1) or CSR (INT_MAX) path.
 void set_dense_subproblem_min_vertices(int n) noexcept;
 [[nodiscard]] int dense_subproblem_min_vertices() noexcept;
 

@@ -200,7 +200,7 @@ PivotCounts pivot_spectrum(const Digraph& dag, int kmax, StopSource& stop,
         const auto out_nbrs = dag.out_neighbors(static_cast<node_t>(source));
         const int size = limit > 1 ? static_cast<int>(out_nbrs.size()) : 0;
         if (size > 0) {
-          build_local_graph(dag, out_nbrs, w.lg);
+          build_local_graph(dag, out_nbrs, w.lg, w.local_id);
           ++w.ctr.dense_subproblems;
           const auto sets = static_cast<std::size_t>(2 * (size + 2)) *
                             static_cast<std::size_t>(w.lg.words());

@@ -1,6 +1,7 @@
 #include "clique/recursive.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <initializer_list>
 #include <type_traits>
@@ -334,8 +335,25 @@ count_t triangles(SearchContext& ctx, std::span<const int> I, const std::uint64_
   return total;
 }
 
+/// Calls f(x) for the first `limit` set bits x of `a`, ascending, until f
+/// returns false.
+template <typename F>
+void for_each_leading_bit(const std::uint64_t* a, std::size_t nwords, std::uint64_t limit, F&& f) {
+  for (std::size_t w = 0; w < nwords && limit > 0; ++w) {
+    for (std::uint64_t word = a[w]; word != 0 && limit > 0; word &= word - 1, --limit) {
+      if (!f(w * bits::kWordBits + static_cast<std::size_t>(std::countr_zero(word)))) return;
+    }
+  }
+}
+
+/// The vertex-growth recursion over `mask`, which holds p candidates, for
+/// c more vertices. Position prune: the i-th candidate (from 0) has p - i - 1
+/// candidates above it, so only the first p - c + 1 can start a clique; the
+/// rest are skipped without an intersection (the counterpart of Algorithm
+/// 2's relevant-pair criterion).
 template <Mode M>
-count_t vertices(SearchContext& ctx, const std::uint64_t* mask, int c, int level) {
+count_t vertices(SearchContext& ctx, const std::uint64_t* mask, std::uint64_t p, int c,
+                 int level) {
   assert(c >= 1);
   LocalCounters& ctr = *ctx.ctr;
   ++ctr.recursive_calls;
@@ -347,8 +365,7 @@ count_t vertices(SearchContext& ctx, const std::uint64_t* mask, int c, int level
   // Base case c == 1: every remaining candidate completes a clique.
   if (c == 1) {
     if constexpr (M == Mode::Tally) return tally_leaf1(ctx, mask);
-    const count_t found = kern::popcount(mask, words);
-    ctr.leaf_work += found;
+    ctr.leaf_work += p;
     if constexpr (M == Mode::List) {
       bits::for_each_bit(mask, words, [&](std::size_t x) {
         if (ctx.poll_stop()) return;
@@ -357,21 +374,22 @@ count_t vertices(SearchContext& ctx, const std::uint64_t* mask, int c, int level
         ctx.clique_stack.pop_back();
       });
     }
-    return found;
+    return p;
   }
 
   // Base case c == 2 in tally mode: every edge inside the mask is a clique.
   if constexpr (M == Mode::Tally) {
     if (c == 2) {
-      ctr.intersection_words += kern::popcount(mask, words) * words;
+      ctr.intersection_words += p * words;
       return tally_leaf2(ctx, mask);
     }
   }
 
+  const auto need = static_cast<std::uint64_t>(c - 1);
+  if (p <= need) return 0;  // no candidate has c - 1 candidates above it
   std::uint64_t* next = ctx.mask_at(level);
   count_t total = 0;
-  bits::for_each_bit(mask, words, [&](std::size_t x) {
-    if (ctx.stopped) return;
+  for_each_leading_bit(mask, words, p - need, [&](std::size_t x) {
     // next = candidates after x that are adjacent to x, count fused in.
     ctr.intersection_words += words - bits::word_index(x);
     ctr.pairs_probed += 1;
@@ -391,15 +409,33 @@ count_t vertices(SearchContext& ctx, const std::uint64_t* mask, int c, int level
           ctx.clique_stack.pop_back();
         });
       }
-      return;
+      return !ctx.stopped;
     }
-    if (isz >= static_cast<std::uint64_t>(c - 1)) {
-      ++ctr.edges_matched;
-      StackPush<M> push(ctx, {static_cast<int>(x)});
-      const count_t found = vertices<M>(ctx, next, c - 1, level + 1);
-      if constexpr (M == Mode::Tally) push.credit(found);
-      total += found;
+    if (isz < need) return true;
+    ++ctr.edges_matched;
+    if constexpr (M == Mode::Count) {
+      if (c == 3) {
+        // In-line c == 2 level: count the edges inside next, each of its
+        // first isz - 1 candidates probing the ones above it.
+        ++ctr.recursive_calls;
+        std::uint64_t* above = ctx.mask_at(level + 1);
+        for_each_leading_bit(next, words, isz - 1, [&](std::size_t y) {
+          ctr.intersection_words += words - bits::word_index(y);
+          ctr.pairs_probed += 1;
+          const std::uint64_t d =
+              kern::intersect_above(lg.row(static_cast<int>(y)), next, above, words, y);
+          ctr.leaf_work += d;
+          total += static_cast<count_t>(d);
+          return true;
+        });
+        return true;
+      }
     }
+    StackPush<M> push(ctx, {static_cast<int>(x)});
+    const count_t found = vertices<M>(ctx, next, isz, c - 1, level + 1);
+    if constexpr (M == Mode::Tally) push.credit(found);
+    total += found;
+    return !ctx.stopped;
   });
   return total;
 }
@@ -443,8 +479,9 @@ count_t search_cliques_tri(SearchContext& ctx, std::span<const int> I,
 }
 
 count_t search_cliques_vertex(SearchContext& ctx, const std::uint64_t* mask, int c, int level) {
+  const std::uint64_t p = kern::popcount(mask, static_cast<std::size_t>(ctx.words));
   return with_mode(ctx, [&](auto mode) {
-    return vertices<decltype(mode)::value>(ctx, mask, c, level);
+    return vertices<decltype(mode)::value>(ctx, mask, p, c, level);
   });
 }
 

@@ -57,18 +57,17 @@ struct CdSourceScratch {
   std::vector<LocalEdge> edges, bucketed;
   std::vector<edge_t> edge_ids, bucketed_ids;  // graph edge ids; per-edge tallies only
   std::vector<std::size_t> bucket_end;  // bucketed[.. bucket_end[t]) is inserted before task t
-  std::vector<int> local_id;            // vertex -> local id; all -1 between sources
   bits::KernelWords mask;               // the current task's V'(e)
 };
 
 /// Per-source state of kcList's CSR path (kclist.cpp), after Danisch et al.:
-/// the sub-DAG Dag[N+(u)] with local ids = out-list positions 0..d-1. Each
+/// the sub-DAG Dag[N+(u)] with local ids = out-list positions 0..d-1, built
+/// through CliqueScratch::local_id. Each
 /// level l of the recursion keeps deg_l(x) for its members x: the members of
 /// level l - 1 below x are the first deg_l(x) entries of x's row, which the
 /// level above partitioned in place. Every buffer is rebuilt per source, so
 /// an exception thrown mid-search leaves nothing to repair.
 struct KcListScratch {
-  std::vector<int> local_id;  // DAG vertex -> local id; all -1 outside the sub-DAG build
   std::vector<std::size_t> offsets;  // row x is adj[offsets[x] .. offsets[x + 1])
   std::vector<int> adj;       // each row's out-neighbours inside N+(u), in local ids
   std::vector<edge_t> arcs;   // the DAG arc id of each adj entry (per-edge tallies only)
@@ -97,14 +96,19 @@ struct CliqueScratch {
   SearchContext ctx;
   std::vector<node_t> member_orig;  // local id -> original vertex id (listing)
 
+  // The one vertex -> local-id map of every local-graph build: sized to the
+  // graph's vertex count and -1 everywhere between builds. build_local_graph
+  // (c3List, Hybrid, ArbCount, kcList's dense path, the pivot pass),
+  // kcList's sub-DAG, c3List-CD's universe and c3List's universe marks all
+  // restore it before any search runs, so no callback sees it dirty.
+  std::vector<int> local_id;
+
   // c3List and c3List-CD: the source vertex's universe U(u) in local-id
   // order (c3List: DAG ids by rank; c3List-CD: vertex ids by decreasing
   // edge-order position of the edge to the source) and the arc or edge from
-  // the source to each universe vertex. c3List also keeps membership flags
-  // over all DAG vertices (all zero between tasks).
+  // the source to each universe vertex.
   std::vector<node_t> universe;
   std::vector<edge_t> universe_arcs;
-  std::vector<std::uint8_t> in_universe;
 
   // c3List-CD (c3list_cd.cpp): one source's owned edges and the local edges
   // of G[U(u)], bucketed by the first owned edge that reads them.

@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <vector>
 
 #include "clique/combinatorics.hpp"
+#include "graph/builder.hpp"
+#include "graph/digraph.hpp"
 #include "util/bitkernels.hpp"
 
 namespace c3 {
@@ -253,6 +257,76 @@ TEST(RecursiveEngine, ListingReportsChosenVertices) {
       ASSERT_GE(v, 100u);
       ASSERT_LE(v, 103u);
     }
+  }
+}
+
+TEST(RecursiveEngine, BuildLocalGraphMatchesTwoPointerReference) {
+  // A random DAG (oriented by vertex id) and random sorted member sets: the
+  // map-based build must give the rows and arc-id slots a sorted two-pointer
+  // merge of each member's out-list against the member list gives, and
+  // leave the shared vertex map at -1 everywhere after every call.
+  std::mt19937 rng(23);
+  const node_t n = 300;
+  EdgeList edges;
+  std::bernoulli_distribution edge(0.2);
+  for (node_t a = 0; a < n; ++a) {
+    for (node_t b = a + 1; b < n; ++b) {
+      if (edge(rng)) edges.push_back({a, b});
+    }
+  }
+  const Graph g = build_graph(edges, n);
+  std::vector<node_t> order(n);
+  for (node_t v = 0; v < n; ++v) order[v] = v;
+  const Digraph dag = Digraph::orient(g, order);
+
+  LocalGraph lg;
+  std::vector<int> local_id;
+  std::vector<edge_t> slots, ref_slots;
+  std::bernoulli_distribution keep(0.4);
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<node_t> members;
+    for (node_t v = 0; v < n; ++v) {
+      if (keep(rng) && trial % 4 != 0) members.push_back(v);
+    }
+    if (trial % 4 == 0) {  // small sets, down to a single vertex
+      for (node_t v = static_cast<node_t>(trial); v < n; v += 37) members.push_back(v);
+    }
+    const std::size_t size = members.size();
+    slots.assign(size * size, static_cast<edge_t>(-1));
+    ref_slots.assign(size * size, static_cast<edge_t>(-1));
+    build_local_graph(dag, members, lg, local_id, slots.data());
+
+    LocalGraph ref;
+    ref.reset(static_cast<int>(size));
+    for (std::size_t a = 0; a < size; ++a) {
+      const auto out = dag.out_neighbors(members[a]);
+      std::size_t i = 0, j = a + 1;
+      while (i < out.size() && j < size) {
+        if (out[i] < members[j]) {
+          ++i;
+        } else if (out[i] > members[j]) {
+          ++j;
+        } else {
+          ref.add_edge(static_cast<int>(a), static_cast<int>(j));
+          const edge_t arc = dag.raw_out_offsets()[members[a]] + i;
+          ref_slots[a * size + j] = arc;
+          ref_slots[j * size + a] = arc;
+          ++i;
+          ++j;
+        }
+      }
+    }
+
+    ASSERT_EQ(lg.size(), ref.size()) << "trial " << trial;
+    ASSERT_EQ(lg.words(), ref.words()) << "trial " << trial;
+    for (int a = 0; a < lg.size(); ++a) {
+      ASSERT_TRUE(std::equal(lg.row(a), lg.row(a) + lg.words(), ref.row(a)))
+          << "trial " << trial << " row " << a;
+    }
+    ASSERT_EQ(slots, ref_slots) << "trial " << trial;
+    ASSERT_GE(local_id.size(), static_cast<std::size_t>(n));
+    ASSERT_TRUE(std::all_of(local_id.begin(), local_id.end(), [](int x) { return x == -1; }))
+        << "trial " << trial;
   }
 }
 
