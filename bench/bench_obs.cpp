@@ -4,8 +4,10 @@
 //   1. Overhead: the same query mix through a LineFrontEnd (no cache, so
 //      every request executes) with telemetry ON (tracing + histograms +
 //      counters) vs OFF (obs::set_enabled(false), what C3_OBS=off gives a
-//      server). Min-of-reps wall time each; the instrumented hot path must
-//      stay within --max-overhead-pct (default 2%) of the dark one.
+//      server), the two modes alternating trip by trip. Each mode's time
+//      sums, over its trips, each trip's minimum over the reps; the
+//      instrumented hot path must stay within --max-overhead-pct (default
+//      2%) of the dark one.
 //   2. Exposition validity: the `metrics` text is line-checked against the
 //      Prometheus text format (TYPE comments, `name{labels} value` samples,
 //      parseable values, the final "# EOF").
@@ -201,10 +203,10 @@ int main(int argc, char** argv) {
 
   // ---- 1. overhead: telemetry ON vs OFF, interleaved, min-of-reps --------
   // One trip through the mix takes a few milliseconds, and a pass of ~50ms
-  // could not resolve a 2% delta against scheduler jitter on a shared host
-  // (it failed 4 of 15 runs on unchanged code). Calibrate an inner repeat
-  // count so each mode's pass runs for at least 0.25s, timing enough trips
-  // (>= 0.1s) that the calibration itself is not jitter.
+  // cannot resolve a 2% delta against scheduler jitter on a shared host.
+  // Calibrate an inner repeat count so each mode's pass runs for at least
+  // 0.25s, timing enough trips (>= 0.1s) that the calibration itself is not
+  // jitter.
   const auto mix_once = [&] {
     for (const std::string& r : requests) (void)frontend.process(r);
   };

@@ -102,9 +102,9 @@ expect_match("${out}" "c3serve: bad --inflight 'x'")
 run_c3tool(2 out count --in g.txt --k abc)
 expect_match("${out}" "c3tool count: bad --k 'abc'")
 
-# C3_DENSE_MIN must be a positive integer: anything else is ignored with
-# one warning naming it, and kcList keeps the default floor and its answer
-# (strtol once read 'abc' and '0' as the default silently and '40x' as 40).
+# C3_DENSE_MIN must be a positive integer: anything else ('40x' included)
+# is ignored with one warning naming it, and kcList keeps the default floor
+# and its answer.
 run_c3tool(0 out count --in g.txt --k 4 --alg kclist)
 string(REGEX MATCH "^[0-9]+ 4-cliques" expected_count "${out}")
 if(expected_count STREQUAL "")

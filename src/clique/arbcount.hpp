@@ -7,8 +7,12 @@
 // sequential exact one, and (ii) the recursive search runs on *induced
 // subgraphs re-represented per top-level vertex* ("improvements in the data
 // structure used to represent the graph during the recursive search") — here
-// the same renamed bitset representation the core algorithm uses, where
-// candidate-set intersections are word-parallel. Work
+// the same renamed bitset representation the core algorithm uses, built
+// through the worker's shared vertex map, where candidate-set intersections
+// are word-parallel. The vertex-growth recursion (search_cliques_vertex)
+// tries only the candidates with enough candidates above them to finish a
+// clique, and a counting search closes its last level in the parent's loop
+// (DESIGN.md Section 2, "ArbCount's vertex growth"). Work
 // O(m (s(1+eps))^(k-2)) in expectation, depth O(k log n + log^2 n) whp.
 #pragma once
 

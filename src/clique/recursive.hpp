@@ -207,10 +207,13 @@ void flush_task_tally(SearchContext& ctx, count_t found, int end, std::span<cons
 
 /// Vertex-at-a-time recursion over the candidate mask: pick the next clique
 /// vertex x ascending (= respecting the orientation), descend into
-/// mask ∩ N(x) ∩ {> x} with c - 1. The arboricity-style counterpart of
-/// search_cliques — one vertex per level instead of an edge — shared by
-/// ArbCount and kcList's dense-subproblem path. `level` indexes the mask
-/// scratch and must leave room for c - 2 further levels.
+/// mask ∩ N(x) ∩ {> x} with c - 1. Only the first p - c + 1 of the mask's p
+/// candidates are tried (a later one has too few candidates above it), and
+/// counting closes the c == 2 level inside its parent's loop. The
+/// arboricity-style counterpart of search_cliques — one vertex per level
+/// instead of an edge — shared by ArbCount and kcList's dense-subproblem
+/// path. `level` indexes the mask scratch and must leave room for c - 2
+/// further levels.
 [[nodiscard]] count_t search_cliques_vertex(SearchContext& ctx, const std::uint64_t* mask, int c,
                                             int level);
 

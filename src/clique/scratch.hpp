@@ -10,7 +10,9 @@
 // out per in-flight query (ScratchLease): sequential queries reuse the same
 // warm buffers, concurrent queries each get their own, and the pool grows
 // only under actual contention. Fields unused by a given algorithm stay
-// empty and cost nothing.
+// empty and cost nothing. Every local-graph build finds its members through
+// one n-sized vertex -> local-id map per worker (CliqueScratch::local_id),
+// which is -1 everywhere between builds.
 #pragma once
 
 #include <cstdint>
