@@ -2,7 +2,7 @@
 #   gen -> prepare -> inspect (human-readable header/fingerprint/sections)
 #   -> batch --snapshot with the typed query grammar and warm-up hints,
 # plus the refusal of malformed ports by c3tool trace --connect and c3serve,
-# of malformed numeric flags, and the warning for a malformed C3_DENSE_MIN.
+# and of malformed numeric flags.
 # Failures print the command output; any unexpected exit code or missing
 # marker string fails the test. Driven with -DC3TOOL=<binary>
 # -DC3SERVE=<binary> -DWORK_DIR=<dir>.
@@ -101,20 +101,5 @@ run_tool(${C3SERVE} 2 out --graph g=g.txt --port 0 --inflight x)
 expect_match("${out}" "c3serve: bad --inflight 'x'")
 run_c3tool(2 out count --in g.txt --k abc)
 expect_match("${out}" "c3tool count: bad --k 'abc'")
-
-# C3_DENSE_MIN must be a positive integer: anything else ('40x' included)
-# is ignored with one warning naming it, and kcList keeps the default floor
-# and its answer.
-run_c3tool(0 out count --in g.txt --k 4 --alg kclist)
-string(REGEX MATCH "^[0-9]+ 4-cliques" expected_count "${out}")
-if(expected_count STREQUAL "")
-  message(FATAL_ERROR "no 4-clique count in:\n${out}")
-endif()
-foreach(bad_floor abc 0 40x -3)
-  run_tool(${CMAKE_COMMAND} 0 out -E env C3_DENSE_MIN=${bad_floor}
-           ${C3TOOL} count --in g.txt --k 4 --alg kclist)
-  expect_match("${out}" "ignoring C3_DENSE_MIN='${bad_floor}' \\(want a positive integer\\), using 32")
-  expect_match("${out}" "^${expected_count} in")
-endforeach()
 
 message(STATUS "c3tool CLI test passed")

@@ -6,7 +6,8 @@
 //   Orientation & orders    order/degeneracy.hpp, order/approx_degeneracy.hpp,
 //                           order/community_degeneracy.hpp
 //   Triangles/communities   triangle/triangle_count.hpp, triangle/communities.hpp
-//   Clique counting         clique/api.hpp (count_cliques / list_cliques)
+//   Clique counting         clique/api.hpp (count_cliques / list_cliques;
+//                           CliqueOptions::algorithm picks the algorithm)
 //   Typed queries           clique/query.hpp (Query/Answer: one sum type for
 //                           every question, with per-query worker caps,
 //                           budgets, and text round-tripping)
@@ -20,7 +21,9 @@
 //                           engine offline, mmap it back at serve time)
 //   Individual algorithms   clique/c3list.hpp, clique/c3list_cd.hpp,
 //                           clique/hybrid.hpp, clique/kclist.hpp,
-//                           clique/arbcount.hpp, clique/bruteforce.hpp
+//                           clique/arbcount.hpp (search halves on prepared
+//                           artifacts, run through PreparedGraph),
+//                           clique/bruteforce.hpp
 //   Extensions              clique/max_clique.hpp, clique/spectrum.hpp,
 //                           clique/vertex_counts.hpp, clique/peeling.hpp
 //

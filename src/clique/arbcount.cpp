@@ -1,13 +1,7 @@
 #include "clique/arbcount.hpp"
 
-#include <vector>
-
-#include "clique/engine.hpp"
 #include "clique/local_graph.hpp"
 #include "clique/recursive.hpp"
-#include "parallel/parallel.hpp"
-#include "util/bitwords.hpp"
-#include "util/timer.hpp"
 
 namespace c3 {
 
@@ -27,7 +21,6 @@ count_t arbcount_task(const Digraph& dag, node_t u, int k, CliqueScratch& w) {
                                      : nullptr);
 
   w.ctx.lg = &w.lg;
-  w.ctx.ctr = &w.ctr;
   ++w.ctr.dense_subproblems;
   if (w.ctx.callback != nullptr || tally != nullptr) {
     w.member_orig.resize(members.size());
@@ -53,43 +46,17 @@ count_t arbcount_task(const Digraph& dag, node_t u, int k, CliqueScratch& w) {
 }
 
 CliqueResult arbcount_search(const Digraph& dag, int k, const CliqueSink& sink, StopSource& stop,
-                             const CliqueOptions& opts, QueryScratch& scratch) {
-  (void)opts;
-  CliqueResult result;
+                             QueryScratch& scratch) {
+  // Vertex growth reads no pair criterion.
+  CliqueResult result = scratch.for_each_source(
+      stop, sink, /*prune=*/false, dag.num_nodes(), [&](CliqueScratch& w, node_t u) {
+        if (static_cast<int>(dag.out_degree(u)) < k - 1) return;
+        w.count += arbcount_task(dag, u, k, w);
+      });
+  result.stats.top_level_tasks = dag.num_nodes();
   result.stats.order_quality = dag.max_out_degree();
   result.stats.gamma = result.stats.order_quality;
-
-  WallTimer search_timer;
-  const node_t n = dag.num_nodes();
-  result.stats.top_level_tasks = n;
-  scratch.reset_query(stop, sink);
-
-  parallel_for_dynamic(
-      0, n,
-      [&](std::size_t u) {
-        if (static_cast<int>(dag.out_degree(static_cast<node_t>(u))) < k - 1) return;
-        CliqueScratch& w = scratch.local();
-        if (w.ctx.poll_stop()) return;
-        w.count += arbcount_task(dag, static_cast<node_t>(u), k, w);
-      },
-      1);
-
-  scratch.merge_into(result);
-  result.stats.search_seconds = search_timer.seconds();
   return result;
-}
-
-CliqueResult arbcount_count(const Graph& g, int k, const CliqueOptions& opts) {
-  CliqueOptions o = opts;
-  o.algorithm = Algorithm::ArbCount;
-  return PreparedGraph(g, o).count(k);
-}
-
-CliqueResult arbcount_list(const Graph& g, int k, const CliqueCallback& callback,
-                           const CliqueOptions& opts) {
-  CliqueOptions o = opts;
-  o.algorithm = Algorithm::ArbCount;
-  return PreparedGraph(g, o).list(k, callback);
 }
 
 }  // namespace c3

@@ -16,27 +16,16 @@
 // O(m (s(1+eps))^(k-2)) in expectation, depth O(k log n + log^2 n) whp.
 #pragma once
 
-#include "clique/c3list.hpp"
 #include "clique/common.hpp"
 #include "clique/scratch.hpp"
 #include "graph/digraph.hpp"
-#include "graph/graph.hpp"
-#include "parallel/padded.hpp"
 
 namespace c3 {
-
-/// Counts all k-cliques with ArbCount.
-[[nodiscard]] CliqueResult arbcount_count(const Graph& g, int k, const CliqueOptions& opts = {});
-
-/// Listing variant.
-[[nodiscard]] CliqueResult arbcount_list(const Graph& g, int k, const CliqueCallback& callback,
-                                         const CliqueOptions& opts = {});
 
 /// Search half on a prepared orientation: requires k >= 3. `sink`, `stop`
 /// and `scratch` are as in c3list_search (edge slots are arc ids of `dag`).
 [[nodiscard]] CliqueResult arbcount_search(const Digraph& dag, int k, const CliqueSink& sink,
-                                           StopSource& stop, const CliqueOptions& opts,
-                                           QueryScratch& scratch);
+                                           StopSource& stop, QueryScratch& scratch);
 
 /// One ArbCount task, shared with kcList's dense-subproblem path: induces
 /// G[N+(u)] as a bitset local graph and searches it vertex-at-a-time for

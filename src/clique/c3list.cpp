@@ -1,11 +1,8 @@
 #include "clique/c3list.hpp"
 
-#include "clique/engine.hpp"
 #include "clique/local_graph.hpp"
 #include "clique/recursive.hpp"
-#include "parallel/parallel.hpp"
 #include "parallel/reduce.hpp"
-#include "util/timer.hpp"
 
 namespace c3 {
 namespace {
@@ -34,29 +31,18 @@ CliqueResult c3list_search(const Digraph& dag, const EdgeCommunities& comms, int
                            const CliqueSink& sink, StopSource& stop, const CliqueOptions& opts,
                            QueryScratch& scratch) {
   const CliqueCallback* callback = sink.callback;
-  CliqueResult result;
-  result.stats.order_quality = dag.max_out_degree();
-  result.stats.gamma = comms.max_size();
-
-  WallTimer search_timer;
   // Algorithm 1, line 2: all edges with at least k-2 triangles. They are
   // searched grouped by source vertex, one task per source.
   const auto needed = static_cast<node_t>(k - 2);
   const auto qualifies = [&](edge_t e) { return comms.size(e) >= needed; };
-  result.stats.top_level_tasks = parallel_sum<count_t>(
+  const count_t tasks = parallel_sum<count_t>(
       0, dag.num_arcs(), [&](std::size_t e) { return qualifies(static_cast<edge_t>(e)) ? 1 : 0; });
 
-  scratch.reset_query(stop, sink);
-
-  parallel_for_dynamic(
-      0, dag.num_nodes(),
-      [&](std::size_t source) {
-        const auto u = static_cast<node_t>(source);
+  CliqueResult result = scratch.for_each_source(
+      stop, sink, opts.distance_pruning, dag.num_nodes(), [&](CliqueScratch& w, node_t u) {
         const auto out = dag.out_neighbors(u);
         // A qualifying arc's target and community are k - 1 out-neighbors.
         if (static_cast<int>(out.size()) < k - 1) return;
-        CliqueScratch& w = scratch.local();
-        if (w.ctx.poll_stop()) return;
         const edge_t first_arc = dag.raw_out_offsets()[u];
         CliqueTally* tally = w.ctx.tally;
 
@@ -102,8 +88,6 @@ CliqueResult c3list_search(const Digraph& dag, const EdgeCommunities& comms, int
         build_local_graph(dag, w.universe, w.lg, w.local_id,
                           tally != nullptr ? w.ctx.begin_tally_task(size) : nullptr);
         w.ctx.lg = &w.lg;
-        w.ctx.prune = opts.distance_pruning;
-        w.ctx.ctr = &w.ctr;
         if (callback != nullptr || tally != nullptr) {
           w.member_orig.resize(w.universe.size());
           for (std::size_t a = 0; a < w.universe.size(); ++a)
@@ -134,25 +118,11 @@ CliqueResult c3list_search(const Digraph& dag, const EdgeCommunities& comms, int
             });
           }
         }
-      },
-      1);
-
-  scratch.merge_into(result);
-  result.stats.search_seconds = search_timer.seconds();
+      });
+  result.stats.top_level_tasks = tasks;
+  result.stats.order_quality = dag.max_out_degree();
+  result.stats.gamma = comms.max_size();
   return result;
-}
-
-CliqueResult c3list_count(const Graph& g, int k, const CliqueOptions& opts) {
-  CliqueOptions o = opts;
-  o.algorithm = Algorithm::C3List;
-  return PreparedGraph(g, o).count(k);
-}
-
-CliqueResult c3list_list(const Graph& g, int k, const CliqueCallback& callback,
-                         const CliqueOptions& opts) {
-  CliqueOptions o = opts;
-  o.algorithm = Algorithm::C3List;
-  return PreparedGraph(g, o).list(k, callback);
 }
 
 }  // namespace c3

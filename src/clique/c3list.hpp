@@ -18,29 +18,19 @@
 #include "clique/common.hpp"
 #include "clique/scratch.hpp"
 #include "graph/digraph.hpp"
-#include "graph/graph.hpp"
-#include "parallel/padded.hpp"
 #include "triangle/communities.hpp"
 
 namespace c3 {
-
-/// Counts all k-cliques of g. Options select the orientation (exact
-/// degeneracy, (2+eps)-approximate, or by id) and the pruning ablation.
-[[nodiscard]] CliqueResult c3list_count(const Graph& g, int k, const CliqueOptions& opts = {});
-
-/// Lists all k-cliques of g through `callback` (see CliqueCallback for the
-/// early-exit contract). Returns the number of cliques reported.
-[[nodiscard]] CliqueResult c3list_list(const Graph& g, int k, const CliqueCallback& callback,
-                                       const CliqueOptions& opts = {});
 
 /// Search half of Algorithm 1 on prepared artifacts: requires k >= 3, an
 /// oriented `dag` and its edge communities. `sink` picks counting, listing
 /// or aggregation (whose edge slots are arc ids of `dag`); `stop` is the
 /// query's stop source (stop.hpp), polled in every mode. `scratch` is this
-/// query's leased state — reset here, reused warm across queries, and the
-/// only mutable state the search touches, so concurrent callers with
-/// distinct leases never interfere. Stats report only the search
-/// (preprocess_seconds stays 0).
+/// query's leased state, whose for_each_source runs the search — reused
+/// warm across queries, and the only mutable state the search touches, so
+/// concurrent callers with distinct leases never interfere. Stats report
+/// only the search (preprocess_seconds stays 0). Callers reach it through
+/// PreparedGraph (engine.hpp) or count_cliques / list_cliques (api.hpp).
 [[nodiscard]] CliqueResult c3list_search(const Digraph& dag, const EdgeCommunities& comms, int k,
                                          const CliqueSink& sink, StopSource& stop,
                                          const CliqueOptions& opts, QueryScratch& scratch);

@@ -4,12 +4,9 @@
 #include <span>
 #include <utility>
 
-#include "clique/engine.hpp"
 #include "clique/local_graph.hpp"
 #include "clique/recursive.hpp"
-#include "parallel/parallel.hpp"
 #include "parallel/reduce.hpp"
-#include "util/timer.hpp"
 
 namespace c3 {
 namespace {
@@ -131,38 +128,25 @@ CliqueResult c3list_cd_search(const Graph& g, const EdgeOrderResult& order, int 
                               const CliqueSink& sink, StopSource& stop,
                               const CliqueOptions& opts, QueryScratch& scratch) {
   const CliqueCallback* callback = sink.callback;
-  CliqueResult result;
-  result.stats.order_quality = order.sigma;
-
-  WallTimer search_timer;
   // Algorithm 3, line 3: every edge whose candidate set can hold k-2 more
   // vertices spawns a search. They are searched grouped by owner, one task
   // per source vertex.
   const auto needed = static_cast<node_t>(k - 2);
   const auto qualifies = [&](edge_t e) { return order.candidate_count(e) >= needed; };
-  result.stats.top_level_tasks = parallel_sum<count_t>(0, g.num_edges(), [&](std::size_t e) {
+  const count_t tasks = parallel_sum<count_t>(0, g.num_edges(), [&](std::size_t e) {
     return qualifies(static_cast<edge_t>(e)) ? 1 : 0;
   });
-  result.stats.gamma = parallel_max<node_t>(0, g.num_edges(), 0, [&](std::size_t e) {
+  const node_t gamma = parallel_max<node_t>(0, g.num_edges(), 0, [&](std::size_t e) {
     return qualifies(static_cast<edge_t>(e)) ? order.candidate_count(static_cast<edge_t>(e))
                                              : node_t{0};
   });
 
-  scratch.reset_query(stop, sink);
   // Every source scans its adjacency; skip that when no edge qualifies.
-  if (result.stats.top_level_tasks == 0) {
-    result.stats.search_seconds = search_timer.seconds();
-    return result;
-  }
-
-  parallel_for_dynamic(
-      0, g.num_nodes(),
-      [&](std::size_t source) {
-        const auto u = static_cast<node_t>(source);
+  CliqueResult result = scratch.for_each_source(
+      stop, sink, opts.distance_pruning, tasks == 0 ? 0 : g.num_nodes(),
+      [&](CliqueScratch& w, node_t u) {
         // A qualifying edge's other endpoint and V'(e) are k - 1 neighbors.
         if (static_cast<int>(g.degree(u)) < k - 1) return;
-        CliqueScratch& w = scratch.local();
-        if (w.ctx.poll_stop()) return;
         CdSourceScratch& s = w.cd;
         if (!collect_universe(g, order, u, qualifies, w)) return;
 
@@ -182,8 +166,6 @@ CliqueResult c3list_cd_search(const Graph& g, const EdgeOrderResult& order, int 
         for (const node_t x : w.universe) w.local_id[x] = -1;
         w.lg.reset(size);
         w.ctx.lg = &w.lg;
-        w.ctx.prune = opts.distance_pruning;
-        w.ctx.ctr = &w.ctr;
         w.ctx.member_to_orig = w.universe.data();
         const std::size_t words = bits::kernel_stride_words(static_cast<std::size_t>(size));
         if (s.mask.size() < words) s.mask.resize(words);
@@ -231,39 +213,11 @@ CliqueResult c3list_cd_search(const Graph& g, const EdgeOrderResult& order, int 
             });
           }
         }
-      },
-      1);
-
-  scratch.merge_into(result);
-  result.stats.search_seconds = search_timer.seconds();
+      });
+  result.stats.top_level_tasks = tasks;
+  result.stats.order_quality = order.sigma;
+  result.stats.gamma = gamma;
   return result;
-}
-
-CliqueResult c3list_cd_count_with_order(const Graph& g, int k, const EdgeOrderResult& order,
-                                        const CliqueOptions& opts) {
-  if (k <= 2) {
-    CliqueOptions o = opts;
-    o.algorithm = Algorithm::C3ListCD;
-    CliqueResult result = PreparedGraph(g, o).count(k);
-    result.stats.order_quality = order.sigma;
-    return result;
-  }
-  QueryScratch scratch;
-  StopSource stop;
-  return c3list_cd_search(g, order, k, CliqueSink{}, stop, opts, scratch);
-}
-
-CliqueResult c3list_cd_count(const Graph& g, int k, const CliqueOptions& opts) {
-  CliqueOptions o = opts;
-  o.algorithm = Algorithm::C3ListCD;
-  return PreparedGraph(g, o).count(k);
-}
-
-CliqueResult c3list_cd_list(const Graph& g, int k, const CliqueCallback& callback,
-                            const CliqueOptions& opts) {
-  CliqueOptions o = opts;
-  o.algorithm = Algorithm::C3ListCD;
-  return PreparedGraph(g, o).list(k, callback);
 }
 
 }  // namespace c3

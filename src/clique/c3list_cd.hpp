@@ -18,28 +18,12 @@
 // over u's edges passes their positions (DESIGN.md Section 2).
 #pragma once
 
-#include "clique/c3list.hpp"
 #include "clique/common.hpp"
 #include "clique/scratch.hpp"
 #include "graph/graph.hpp"
 #include "order/community_degeneracy.hpp"
-#include "parallel/padded.hpp"
 
 namespace c3 {
-
-/// Counts all k-cliques with Algorithm 3. `opts.edge_order` selects the
-/// exact greedy or the Algorithm 4 approximate edge order.
-[[nodiscard]] CliqueResult c3list_cd_count(const Graph& g, int k, const CliqueOptions& opts = {});
-
-/// Listing variant (see CliqueCallback).
-[[nodiscard]] CliqueResult c3list_cd_list(const Graph& g, int k, const CliqueCallback& callback,
-                                          const CliqueOptions& opts = {});
-
-/// Runs Algorithm 3 on a precomputed edge order (exposed for benches that
-/// want to time the search separately from the preprocessing).
-[[nodiscard]] CliqueResult c3list_cd_count_with_order(const Graph& g, int k,
-                                                      const EdgeOrderResult& order,
-                                                      const CliqueOptions& opts = {});
 
 /// Search half of Algorithm 3 on a prepared edge order: requires k >= 3.
 /// `sink`, `stop` and `scratch` are as in c3list_search (edge slots are

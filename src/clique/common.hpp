@@ -96,7 +96,6 @@ struct CliqueResult {
 
 /// Per-worker counter block merged into CliqueStats at the end of a run.
 struct LocalCounters {
-  count_t cliques = 0;
   count_t recursive_calls = 0;
   count_t pairs_probed = 0;
   count_t edges_matched = 0;
@@ -105,7 +104,6 @@ struct LocalCounters {
   count_t dense_subproblems = 0;
 
   void merge_into(CliqueStats& s) const noexcept {
-    s.cliques += cliques;
     s.recursive_calls += recursive_calls;
     s.pairs_probed += pairs_probed;
     s.edges_matched += edges_matched;
@@ -114,16 +112,6 @@ struct LocalCounters {
     s.dense_subproblems += dense_subproblems;
   }
 };
-
-/// Folds one worker's per-query accumulators — its clique count and counter
-/// block — into a result. The single merge point for every search half (the
-/// lease's merge_into drains all worker slots through it), so the stats
-/// contract lives in exactly one place.
-inline void merge_stats(CliqueResult& result, count_t count, const LocalCounters& ctr) noexcept {
-  result.count += count;
-  ctr.merge_into(result.stats);
-  result.stats.cliques = result.count;
-}
 
 /// Listing callback: receives the k vertices of each clique (original vertex
 /// ids, unspecified order). Return true to continue the enumeration, false

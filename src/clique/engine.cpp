@@ -350,12 +350,12 @@ CliqueResult PreparedGraph::dispatch(int k, const CliqueSink& sink, StopSource& 
     case Algorithm::KCList: {
       const Digraph& d = arc_slots(dag(prep));
       const ScratchLease lease = memo_->pool.acquire();
-      return kclist_search(d, k, sink, stop, opts_, *lease);
+      return kclist_search(d, k, sink, stop, *lease);
     }
     case Algorithm::ArbCount: {
       const Digraph& d = arc_slots(dag(prep));
       const ScratchLease lease = memo_->pool.acquire();
-      return arbcount_search(d, k, sink, stop, opts_, *lease);
+      return arbcount_search(d, k, sink, stop, *lease);
     }
     case Algorithm::BruteForce: {
       CliqueResult r;

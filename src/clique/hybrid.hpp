@@ -9,24 +9,15 @@
 // the middle row of Table 1.
 #pragma once
 
-#include "clique/c3list.hpp"
 #include "clique/common.hpp"
 #include "clique/scratch.hpp"
 #include "graph/digraph.hpp"
-#include "graph/graph.hpp"
-#include "parallel/padded.hpp"
 
 namespace c3 {
 
-/// Counts all k-cliques with the hybrid scheme.
-[[nodiscard]] CliqueResult hybrid_count(const Graph& g, int k, const CliqueOptions& opts = {});
-
-/// Listing variant.
-[[nodiscard]] CliqueResult hybrid_list(const Graph& g, int k, const CliqueCallback& callback,
-                                       const CliqueOptions& opts = {});
-
 /// Search half on a prepared (approximate-order) orientation: requires
-/// k >= 3; computes the exact inner order per out-neighborhood. `sink`,
+/// k >= 3; computes the exact inner order per out-neighborhood with the
+/// Batagelj-Zaversnik sweep of order/degeneracy.hpp. `sink`,
 /// `stop` and `scratch` are as in c3list_search (edge slots are arc ids of
 /// `dag`).
 [[nodiscard]] CliqueResult hybrid_search(const Digraph& dag, int k, const CliqueSink& sink,

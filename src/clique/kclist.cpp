@@ -9,11 +9,8 @@
 #include <vector>
 
 #include "clique/arbcount.hpp"
-#include "clique/engine.hpp"
 #include "clique/local_graph.hpp"
 #include "clique/recursive.hpp"
-#include "parallel/parallel.hpp"
-#include "util/timer.hpp"
 
 namespace c3 {
 namespace {
@@ -155,8 +152,13 @@ count_t leaf(const SubDag& t, std::span<const int> S) {
 /// deg_{l-1} entries are its members of the new level. Tally mode credits
 /// each arc (v, x) of the spawned level, as the level unwinds, with the
 /// growth of x's count below v; the leaf credits the closing arcs.
+///
+/// Aligned to a cache line: where the function starts decides how its inner
+/// loops fall on 64-byte boundaries. On paper_sweep, kcList's counting time
+/// moved by 15-20% when unrelated code shifted its start from offset 0 to
+/// offset 32 of a line; the alignment keeps it at offset 0.
 template <Mode M>
-count_t descend(const SubDag& t, std::span<const int> S, int l) {
+[[gnu::aligned(64)]] count_t descend(const SubDag& t, std::span<const int> S, int l) {
   CliqueScratch& w = t.w;
   ++w.ctr.recursive_calls;
   if (w.ctx.poll_stop()) return 0;
@@ -205,25 +207,12 @@ count_t descend(const SubDag& t, std::span<const int> S, int l) {
 }  // namespace
 
 CliqueResult kclist_search(const Digraph& dag, int k, const CliqueSink& sink, StopSource& stop,
-                           const CliqueOptions& opts, QueryScratch& scratch) {
-  (void)opts;
+                           QueryScratch& scratch) {
   const CliqueCallback* callback = sink.callback;
   if (k > 255) throw std::invalid_argument("kclist: k too large");
-  CliqueResult result;
-  result.stats.order_quality = dag.max_out_degree();
-  result.stats.gamma = result.stats.order_quality;
-
-  WallTimer search_timer;
-  const node_t n = dag.num_nodes();
-  result.stats.top_level_tasks = n;
-  scratch.reset_query(stop, sink);
-
-  parallel_for_dynamic(
-      0, n,
-      [&](std::size_t source) {
-        const auto u = static_cast<node_t>(source);
-        CliqueScratch& w = scratch.local();
-        if (w.ctx.poll_stop()) return;
+  // Vertex growth reads no pair criterion.
+  CliqueResult result = scratch.for_each_source(
+      stop, sink, /*prune=*/false, dag.num_nodes(), [&](CliqueScratch& w, node_t u) {
         const auto out = dag.out_neighbors(u);
         if (static_cast<int>(out.size()) < k - 1) return;
 
@@ -269,25 +258,11 @@ CliqueResult kclist_search(const Digraph& dag, int k, const CliqueSink& sink, St
           flush_task_tally(w.ctx, found, t.d, outer, 0,
                            [&](std::size_t, int a) { return first_arc + static_cast<edge_t>(a); });
         }
-      },
-      1);
-
-  scratch.merge_into(result);
-  result.stats.search_seconds = search_timer.seconds();
+      });
+  result.stats.top_level_tasks = dag.num_nodes();
+  result.stats.order_quality = dag.max_out_degree();
+  result.stats.gamma = result.stats.order_quality;
   return result;
-}
-
-CliqueResult kclist_count(const Graph& g, int k, const CliqueOptions& opts) {
-  CliqueOptions o = opts;
-  o.algorithm = Algorithm::KCList;
-  return PreparedGraph(g, o).count(k);
-}
-
-CliqueResult kclist_list(const Graph& g, int k, const CliqueCallback& callback,
-                         const CliqueOptions& opts) {
-  CliqueOptions o = opts;
-  o.algorithm = Algorithm::KCList;
-  return PreparedGraph(g, o).list(k, callback);
 }
 
 }  // namespace c3

@@ -12,27 +12,16 @@
 // computation (Table 1).
 #pragma once
 
-#include "clique/c3list.hpp"
 #include "clique/common.hpp"
 #include "clique/scratch.hpp"
 #include "graph/digraph.hpp"
-#include "graph/graph.hpp"
-#include "parallel/padded.hpp"
 
 namespace c3 {
 
-/// Counts all k-cliques with kcList. Honors opts.vertex_order (exact
-/// degeneracy by default, matching the original).
-[[nodiscard]] CliqueResult kclist_count(const Graph& g, int k, const CliqueOptions& opts = {});
-
-/// Listing variant.
-[[nodiscard]] CliqueResult kclist_list(const Graph& g, int k, const CliqueCallback& callback,
-                                       const CliqueOptions& opts = {});
-
-/// Search half on a prepared orientation: requires k >= 3. `sink`, `stop`
-/// and `scratch` are as in c3list_search (edge slots are arc ids of `dag`).
+/// Search half on a prepared orientation (exact degeneracy by default,
+/// matching the original): requires 3 <= k <= 255. `sink`, `stop` and
+/// `scratch` are as in c3list_search (edge slots are arc ids of `dag`).
 [[nodiscard]] CliqueResult kclist_search(const Digraph& dag, int k, const CliqueSink& sink,
-                                         StopSource& stop, const CliqueOptions& opts,
-                                         QueryScratch& scratch);
+                                         StopSource& stop, QueryScratch& scratch);
 
 }  // namespace c3

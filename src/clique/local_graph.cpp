@@ -1,10 +1,6 @@
 #include "clique/local_graph.hpp"
 
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
-
-#include "util/cli.hpp"
 
 namespace c3 {
 
@@ -55,20 +51,8 @@ void build_local_graph(const Digraph& dag, std::span<const node_t> members, Loca
 
 namespace {
 
-/// The C3_DENSE_MIN override, or 32. A value that is not a positive integer
-/// is ignored with one warning naming it, as an unknown C3_KERNEL is.
-int initial_dense_min() noexcept {
-  constexpr int kDefault = 32;
-  const char* env = std::getenv("C3_DENSE_MIN");
-  if (env == nullptr || env[0] == '\0') return kDefault;
-  if (const auto v = parse_number<int>(env); v && *v > 0) return *v;
-  std::fprintf(stderr, "c3: ignoring C3_DENSE_MIN='%s' (want a positive integer), using %d\n",
-               env, kDefault);
-  return kDefault;
-}
-
 std::atomic<int>& dense_min() noexcept {
-  static std::atomic<int> value{initial_dense_min()};
+  static std::atomic<int> value{32};
   return value;
 }
 

@@ -117,10 +117,8 @@ void build_local_graph(const Digraph& dag, std::span<const node_t> members, Loca
 /// label recursion stays cheaper.
 [[nodiscard]] bool use_dense_subproblem(int nvertices, std::int64_t arcs_upper) noexcept;
 
-/// The vertex-count floor for use_dense_subproblem. Default 32, overridable
-/// with the C3_DENSE_MIN environment variable (a positive integer; anything
-/// else is ignored with a warning) at first use; settable at runtime so
-/// tests can force the dense (1) or CSR (INT_MAX) path.
+/// The vertex-count floor for use_dense_subproblem: 32, settable at runtime
+/// so tests can force the dense (1) or CSR (INT_MAX) path.
 void set_dense_subproblem_min_vertices(int n) noexcept;
 [[nodiscard]] int dense_subproblem_min_vertices() noexcept;
 

@@ -8,9 +8,7 @@
 
 #include "clique/combinatorics.hpp"
 #include "clique/local_graph.hpp"
-#include "parallel/parallel.hpp"
 #include "util/bitkernels.hpp"
-#include "util/timer.hpp"
 
 namespace c3 {
 namespace {
@@ -106,10 +104,12 @@ class PivotTree {
 };
 
 /// Sums the workers' leaf histograms: leaves[h * stride + p] over
-/// h = 0..rows-1, with the widest stride any worker reached.
+/// h = 0..rows-1, with the widest stride any worker reached (a worker that
+/// ran no task has stride 0).
 PivotScratch merge_leaves(QueryScratch& scratch, std::size_t rows) {
   PivotScratch sum;
   sum.rows = rows;
+  sum.stride = 1;
   for (std::size_t i = 0; i < scratch.workers.size(); ++i) {
     sum.stride = std::max(sum.stride, scratch.workers.slot(i).pivot.stride);
   }
@@ -177,27 +177,19 @@ std::vector<count_t> leaf_counts(const PivotScratch& hist, int limit) {
 
 PivotCounts pivot_spectrum(const Digraph& dag, int kmax, StopSource& stop,
                            QueryScratch& scratch) {
-  CliqueResult work;
-  work.stats.gamma = work.stats.order_quality = dag.max_out_degree();
-  work.stats.top_level_tasks = dag.num_nodes();
   const int limit = std::min(kmax, static_cast<int>(dag.max_out_degree()) + 1);
   const auto rows = static_cast<std::size_t>(limit) + 1;
 
-  WallTimer timer;
-  scratch.reset_query(stop, CliqueSink{});
-  for (std::size_t i = 0; i < scratch.workers.size(); ++i) {
-    PivotScratch& s = scratch.workers.slot(i).pivot;
-    s.rows = rows;
-    s.stride = 1;
-    s.leaves.assign(rows, 0);
-  }
-
-  parallel_for_dynamic(
-      0, dag.num_nodes(),
-      [&](std::size_t source) {
-        CliqueScratch& w = scratch.local();
-        if (w.ctx.poll_stop()) return;
-        const auto out_nbrs = dag.out_neighbors(static_cast<node_t>(source));
+  CliqueResult work = scratch.for_each_source(
+      stop, CliqueSink{}, /*prune=*/false, dag.num_nodes(), [&](CliqueScratch& w, node_t v) {
+        // for_each_source empties each worker's histogram; size it at the
+        // worker's first task.
+        if (w.pivot.rows == 0) {
+          w.pivot.rows = rows;
+          w.pivot.stride = 1;
+          w.pivot.leaves.assign(rows, 0);
+        }
+        const auto out_nbrs = dag.out_neighbors(v);
         const int size = limit > 1 ? static_cast<int>(out_nbrs.size()) : 0;
         if (size > 0) {
           build_local_graph(dag, out_nbrs, w.lg, w.local_id);
@@ -213,11 +205,9 @@ PivotCounts pivot_spectrum(const Digraph& dag, int kmax, StopSource& stop,
         PivotTree tree(w.lg, static_cast<int>(bits::words_for(static_cast<std::size_t>(size))),
                        limit, w);
         tree.expand(0, 1, 0, size);
-      },
-      1);
-
-  scratch.merge_into(work);
-  work.stats.search_seconds = timer.seconds();
+      });
+  work.stats.gamma = work.stats.order_quality = dag.max_out_degree();
+  work.stats.top_level_tasks = dag.num_nodes();
   PivotCounts out{{}, work.stats};
   if (stop.limit_reached()) return out;
   out.counts = leaf_counts(merge_leaves(scratch, rows), limit);

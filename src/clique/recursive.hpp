@@ -90,7 +90,7 @@ struct SearchContext {
   /// deadline all reach every worker at its next poll point (each top-level
   /// task, recursion entry, and emission) instead of after its in-flight
   /// top-level task. Bound per search by
-  /// QueryScratch::reset_query and valid only while that search runs; null
+  /// QueryScratch::for_each_source and valid only while that search runs; null
   /// when the recursion runs standalone, where only a callback stops it.
   StopSource* stop = nullptr;
 

@@ -1,4 +1,5 @@
-// Per-query scratch leased by the search halves of all clique algorithms.
+// Per-query scratch leased by the search halves of all clique algorithms,
+// and the one per-source loop they all run on.
 //
 // Every algorithm's inner loop re-represents a small subproblem (a community,
 // a candidate set, an out-neighborhood) in worker-local storage. One
@@ -13,6 +14,12 @@
 // empty and cost nothing. Every local-graph build finds its members through
 // one n-sized vertex -> local-id map per worker (CliqueScratch::local_id),
 // which is -1 everywhere between builds.
+//
+// Every search (c3List, c3List-CD, Hybrid, kcList, ArbCount and the pivot
+// pass) has one outer shape: a parallel loop over source vertices, each
+// running a sequential recursion on a re-represented subgraph.
+// QueryScratch::for_each_source is that loop, and the only place that holds
+// its scheduling policy and the rule that an expired query runs no task.
 #pragma once
 
 #include <cstdint>
@@ -24,17 +31,13 @@
 #include "clique/recursive.hpp"
 #include "clique/stop.hpp"
 #include "graph/types.hpp"
+#include "order/degeneracy.hpp"
 #include "parallel/padded.hpp"
 #include "parallel/parallel.hpp"
 #include "parallel/scratch_pool.hpp"
+#include "util/timer.hpp"
 
 namespace c3 {
-
-/// Scratch arrays of the small-universe exact degeneracy sweep the hybrid
-/// algorithm runs inside each out-neighborhood (see hybrid.cpp).
-struct LocalDegeneracyScratch {
-  std::vector<int> adj_offsets, adj, degree, bin, verts, pos;
-};
 
 /// Per-source state of c3List-CD's search (see c3list_cd.cpp).
 struct CdSourceScratch {
@@ -84,14 +87,16 @@ struct KcListScratch {
 struct PivotScratch {
   bits::KernelWords sets;  // two sets per level, the local graph's stride each
   /// leaves[h * stride + p]: how many leaves held h vertices and p pivots,
-  /// for h = 0..rows-1. The stride grows with the largest p seen.
+  /// for h = 0..rows-1. The stride grows with the largest p seen. Each
+  /// search empties it (rows = 0); the pass sizes it at the worker's first
+  /// task.
   std::vector<count_t> leaves;
   std::size_t rows = 0, stride = 0;
 };
 
 /// One worker's reusable state for a sequence of clique searches; handed to
-/// the *_search functions inside a QueryScratch. reset_query() clears the
-/// per-query accumulators while keeping the capacity of every buffer.
+/// each task of QueryScratch::for_each_source, which clears the per-query
+/// accumulators while keeping the capacity of every buffer.
 struct CliqueScratch {
   // Shared by the community-centric searches (c3List, c3List-CD, hybrid).
   LocalGraph lg;
@@ -117,10 +122,11 @@ struct CliqueScratch {
   CdSourceScratch cd;
 
   // Hybrid: the out-neighborhood subgraph before the inner-order renaming,
-  // plus the inner exact degeneracy order and its scratch.
+  // the sweep that computes its exact degeneracy order (deg.order), and
+  // that order's inverse.
   LocalGraph lg_aux;
-  std::vector<int> inner_order, inner_rank;
-  LocalDegeneracyScratch deg;
+  DegeneracySweep deg;
+  std::vector<int> inner_rank;
 
   // Hybrid aggregation: lg_aux's edge slots, before the inner-order renaming.
   std::vector<edge_t> edge_slots_aux;
@@ -141,19 +147,6 @@ struct CliqueScratch {
 
   // The pivot pass (pivot.cpp); it builds each N+(v) into `lg` above.
   PivotScratch pivot;
-
-  /// Resets the per-query accumulators and binds the search's stop source,
-  /// callback and tally (both null = counting); all buffers keep their
-  /// capacity.
-  void reset_query(StopSource& stop, const CliqueCallback* callback,
-                   CliqueTally* tally) noexcept {
-    ctr = {};
-    count = 0;
-    ctx.stopped = false;
-    ctx.stop = &stop;
-    ctx.callback = callback;
-    ctx.tally = tally;
-  }
 };
 
 /// One query's complete mutable state: a warm CliqueScratch per worker. The
@@ -163,32 +156,61 @@ struct CliqueScratch {
 struct QueryScratch {
   PerWorker<CliqueScratch> workers;
 
-  /// Prepares every slot for a new search: rebuilds the slot array if the
-  /// worker pool grew past it (so local() never clamps), resets the
-  /// accumulators, binds `stop` and the sink to every slot (slot i gets
-  /// worker i's tally), and begins the search on `stop`. Warm buffers
-  /// survive.
-  void reset_query(StopSource& stop, const CliqueSink& sink) {
+  /// Runs one search: task(w, u) for every source vertex u in
+  /// [0, sources), dynamically scheduled one source at a time, with w the
+  /// calling worker's scratch. Before the first task every slot is reset
+  /// and bound to `stop`, the sink (slot i gets worker i's tally), its own
+  /// counters and the pair criterion `prune`, and the search begins on
+  /// `stop`; a task starts only while the search is not stopped, so an
+  /// expired query runs none. Returns every worker's count and counters
+  /// merged, with the loop's wall time as search_seconds; the caller fills
+  /// in the rest of the stats.
+  template <typename Task>
+  CliqueResult for_each_source(StopSource& stop, const CliqueSink& sink, bool prune,
+                               node_t sources, Task&& task) {
+    const WallTimer timer;
+    reset_query(stop, sink, prune);
+    parallel_for_dynamic(
+        0, sources,
+        [&](std::size_t u) {
+          CliqueScratch& w = workers.local();
+          if (w.ctx.poll_stop()) return;
+          task(w, static_cast<node_t>(u));
+        },
+        1);
+    CliqueResult result;
+    for (std::size_t i = 0; i < workers.size(); ++i) {
+      result.count += workers.slot(i).count;
+      workers.slot(i).ctr.merge_into(result.stats);
+    }
+    result.stats.cliques = result.count;
+    result.stats.search_seconds = timer.seconds();
+    return result;
+  }
+
+ private:
+  /// Rebuilds the slot array if the worker pool grew past it (so local()
+  /// never clamps), then clears every slot's accumulators and binds the
+  /// query's state; warm buffers survive.
+  void reset_query(StopSource& stop, const CliqueSink& sink, bool prune) {
     if (workers.size() < static_cast<std::size_t>(num_workers()))
       workers = PerWorker<CliqueScratch>();
     for (std::size_t i = 0; i < workers.size(); ++i) {
       CliqueScratch& w = workers.slot(i);
+      w.ctr = {};
+      w.count = 0;
+      w.pivot.rows = w.pivot.stride = 0;
+      w.ctx.stopped = false;
+      w.ctx.stop = &stop;
+      w.ctx.callback = sink.callback;
       // A tally covers the query's num_workers(); the slots past it never run.
-      CliqueTally* tally = sink.tallies != nullptr && i < sink.tallies->per_worker.size()
-                               ? &sink.tallies->per_worker[i]
-                               : nullptr;
-      w.reset_query(stop, sink.callback, tally);
+      w.ctx.tally = sink.tallies != nullptr && i < sink.tallies->per_worker.size()
+                        ? &sink.tallies->per_worker[i]
+                        : nullptr;
+      w.ctx.ctr = &w.ctr;
+      w.ctx.prune = prune;
     }
     stop.begin_search();
-  }
-
-  /// The calling worker's scratch.
-  [[nodiscard]] CliqueScratch& local() noexcept { return workers.local(); }
-
-  /// Drains every slot's count and counters into `result` after a search.
-  void merge_into(CliqueResult& result) const {
-    for (std::size_t i = 0; i < workers.size(); ++i)
-      merge_stats(result, workers.slot(i).count, workers.slot(i).ctr);
   }
 };
 

@@ -1,69 +1,20 @@
 #include "order/degeneracy.hpp"
 
-#include <algorithm>
-#include <vector>
+#include <utility>
 
 namespace c3 {
 
-// Batagelj-Zaversnik bin-sort peeling, O(n + m). Vertices sit in `verts`
-// sorted ascending by current degree, partitioned into per-degree blocks
-// whose left boundaries are `bin[d]`. The sweep processes `verts` left to
-// right; decrementing a neighbor moves it to the front of its block (one
-// swap) and advances that block boundary. The guard `deg[w] > deg[v]`
-// simultaneously skips processed vertices and clamps degrees at the current
-// peel level, which makes removal degrees non-decreasing — so the degree at
-// removal *is* the core number, and the maximum is the degeneracy.
 DegeneracyResult degeneracy_order(const Graph& g) {
-  const node_t n = g.num_nodes();
+  DegeneracySweep s;
   DegeneracyResult result;
-  result.core.assign(n, 0);
-  if (n == 0) return result;
-
-  std::vector<node_t> deg(n);
-  node_t max_deg = 0;
-  for (node_t v = 0; v < n; ++v) {
-    deg[v] = g.degree(v);
-    max_deg = std::max(max_deg, deg[v]);
-  }
-
-  // Counting sort of vertices by degree.
-  std::vector<node_t> bin(max_deg + 2, 0);
-  for (node_t v = 0; v < n; ++v) bin[deg[v] + 1]++;
-  for (node_t d = 0; d <= max_deg; ++d) bin[d + 1] += bin[d];
-  std::vector<node_t> verts(n), pos(n);
-  {
-    std::vector<node_t> cursor(bin.begin(), bin.end() - 1);
-    for (node_t v = 0; v < n; ++v) {
-      const node_t p = cursor[deg[v]]++;
-      verts[p] = v;
-      pos[v] = p;
-    }
-  }
-
-  result.order.resize(n);
-  node_t degeneracy = 0;
-  for (node_t i = 0; i < n; ++i) {
-    const node_t v = verts[i];
-    result.order[i] = v;
-    result.core[v] = deg[v];
-    degeneracy = std::max(degeneracy, deg[v]);
-    for (const node_t w : g.neighbors(v)) {
-      if (deg[w] > deg[v]) {
-        const node_t dw = deg[w];
-        const node_t pw = pos[w];
-        const node_t pt = bin[dw];  // front of w's block
-        const node_t t = verts[pt];
-        if (w != t) {
-          std::swap(verts[pw], verts[pt]);
-          pos[w] = pt;
-          pos[t] = pw;
-        }
-        ++bin[dw];
-        --deg[w];
-      }
-    }
-  }
-  result.degeneracy = degeneracy;
+  result.degeneracy = degeneracy_sweep(
+      g.num_nodes(), [&](node_t v) { return g.degree(v); },
+      [&](node_t v, auto&& f) {
+        for (const node_t w : g.neighbors(v)) f(w);
+      },
+      s);
+  result.order = std::move(s.order);
+  result.core = std::move(s.deg);
   return result;
 }
 

@@ -34,7 +34,7 @@ struct alignas(kCacheLineSize) Padded {
 /// sharing the last slot. Sharing is only race-free for atomic payloads;
 /// raising the cap while a loop over a non-atomic PerWorker is in flight
 /// remains unsupported (as all mid-loop cap changes are) — rebuild the
-/// PerWorker after growing the pool, as QueryScratch::reset_query does.
+/// PerWorker after growing the pool, as QueryScratch::for_each_source does.
 template <typename T>
 class PerWorker {
  public:

@@ -1,6 +1,4 @@
 // Tests for the ArbCount baseline (Shi et al.).
-#include "clique/arbcount.hpp"
-
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "clique/api.hpp"
 #include "clique/bruteforce.hpp"
 #include "clique/combinatorics.hpp"
 #include "graph/builder.hpp"
@@ -17,10 +16,12 @@
 namespace c3 {
 namespace {
 
+const CliqueOptions kArbCount{.algorithm = Algorithm::ArbCount};
+
 TEST(ArbCount, CompleteGraphClosedForm) {
   const Graph g = complete_graph(11);
   for (int k = 3; k <= 11; ++k) {
-    EXPECT_EQ(arbcount_count(g, k).count, binomial(11, k)) << "k=" << k;
+    EXPECT_EQ(count_cliques(g, k, kArbCount).count, binomial(11, k)) << "k=" << k;
   }
 }
 
@@ -28,7 +29,7 @@ TEST(ArbCount, MatchesBruteForce) {
   for (const std::uint64_t seed : {1, 2, 3}) {
     const Graph g = erdos_renyi(45, 330, seed);
     for (int k = 3; k <= 7; ++k) {
-      EXPECT_EQ(arbcount_count(g, k).count, brute_force_count(g, k))
+      EXPECT_EQ(count_cliques(g, k, kArbCount).count, brute_force_count(g, k))
           << "seed " << seed << " k " << k;
     }
   }
@@ -36,11 +37,11 @@ TEST(ArbCount, MatchesBruteForce) {
 
 TEST(ArbCount, DefaultsToApproxOrderButAgreesWithExact) {
   const Graph g = social_like(250, 1800, 0.4, 41);
-  CliqueOptions exact;
+  CliqueOptions exact = kArbCount;
   exact.vertex_order = VertexOrderKind::ExactDegeneracy;
   for (int k = 4; k <= 6; ++k) {
-    const CliqueResult def = arbcount_count(g, k);
-    const CliqueResult ex = arbcount_count(g, k, exact);
+    const CliqueResult def = count_cliques(g, k, kArbCount);
+    const CliqueResult ex = count_cliques(g, k, exact);
     EXPECT_EQ(def.count, ex.count) << "k=" << k;
     // The approximate order may not beat the exact one but must respect the
     // (2+eps) guarantee relative to it.
@@ -54,7 +55,7 @@ TEST(ArbCount, ListingMatchesCountingAndIsValid) {
   for (int k = 3; k <= 6; ++k) {
     const count_t expect = brute_force_count(g, k);
     testing::CliqueCollector collector(g, k);
-    const CliqueResult r = arbcount_list(g, k, collector.callback());
+    const CliqueResult r = list_cliques(g, k, collector.callback(), kArbCount);
     EXPECT_EQ(r.count, expect) << "k=" << k;
     collector.expect_valid(expect);
   }
@@ -63,7 +64,7 @@ TEST(ArbCount, ListingMatchesCountingAndIsValid) {
 TEST(ArbCount, LargeLocalUniverseCrossesWordBoundaries) {
   // Force out-neighborhoods above 64/128 vertices to cover multi-word masks.
   const Graph g = complete_graph(140);
-  EXPECT_EQ(arbcount_count(g, 4).count, binomial(140, 4));
+  EXPECT_EQ(count_cliques(g, 4, kArbCount).count, binomial(140, 4));
 }
 
 TEST(ArbCount, PositionPruneProbesOnePairPerLevel) {
@@ -72,7 +73,7 @@ TEST(ArbCount, PositionPruneProbesOnePairPerLevel) {
   // intersection per level c = k - 1 .. 2. Without the prune each level
   // probes all of its c candidates, k(k - 1)/2 - 1 in total.
   for (int k = 3; k <= 10; ++k) {
-    const CliqueResult r = arbcount_count(complete_graph(static_cast<node_t>(k)), k);
+    const CliqueResult r = count_cliques(complete_graph(static_cast<node_t>(k)), k, kArbCount);
     EXPECT_EQ(r.count, 1u) << "k=" << k;
     EXPECT_EQ(r.stats.pairs_probed, static_cast<count_t>(k - 2)) << "k=" << k;
     EXPECT_EQ(r.stats.leaf_work, 1u) << "k=" << k;
@@ -150,10 +151,10 @@ TEST(ArbCount, PositionPruneBoundaryMatchesBruteForce) {
 
 TEST(ArbCount, TrivialSizesAndEmpty) {
   const Graph g = erdos_renyi(40, 100, 47);
-  EXPECT_EQ(arbcount_count(g, 1).count, 40u);
-  EXPECT_EQ(arbcount_count(g, 2).count, 100u);
-  EXPECT_EQ(arbcount_count(Graph{}, 5).count, 0u);
-  EXPECT_EQ(arbcount_count(grid_graph(8, 8), 3).count, 0u);
+  EXPECT_EQ(count_cliques(g, 1, kArbCount).count, 40u);
+  EXPECT_EQ(count_cliques(g, 2, kArbCount).count, 100u);
+  EXPECT_EQ(count_cliques(Graph{}, 5, kArbCount).count, 0u);
+  EXPECT_EQ(count_cliques(grid_graph(8, 8), 3, kArbCount).count, 0u);
 }
 
 }  // namespace

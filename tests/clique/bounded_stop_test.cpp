@@ -4,7 +4,7 @@
 // probe is fruitless and, unbounded, runs for seconds; a 10-clique count
 // and the 10-clique per-vertex and per-edge counts run for seconds too.
 // Each case must return within twice its limit plus a fixed slack, marked
-// truncated.
+// truncated. A query cancelled before it starts must run no task at all.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -107,6 +107,20 @@ TEST_P(BoundedStopTest, BudgetBoundsMaxCliqueWithAVerifiedLowerBound) {
     for (std::size_t j = i + 1; j < a.witness.size(); ++j) {
       EXPECT_TRUE(graph_.has_edge(a.witness[i], a.witness[j]));
     }
+  }
+}
+
+// The shared per-source loop (QueryScratch::for_each_source) reads the
+// limits as a search begins and polls before every task, so a pre-cancelled
+// query stops before its first task on every kind that runs a search, the
+// pivot pass included.
+TEST_P(BoundedStopTest, PreCancelledQueryRunsNoTask) {
+  for (const char* text : {"count 4", "list 4", "vertexcounts 4", "edgecounts 4", "spectrum"}) {
+    Query q = parse_query(text);
+    q.opts.cancel = std::make_shared<std::atomic<bool>>(true);
+    const Answer a = engine_.run(q);
+    EXPECT_TRUE(a.truncated) << text;
+    EXPECT_EQ(a.stats.recursive_calls, 0u) << text;
   }
 }
 

@@ -1,6 +1,4 @@
 // Tests for Algorithm 3 (community-degeneracy parameterized listing).
-#include "clique/c3list_cd.hpp"
-
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "clique/api.hpp"
 #include "clique/bruteforce.hpp"
 #include "clique/combinatorics.hpp"
 #include "clique/engine.hpp"
@@ -22,12 +21,14 @@ namespace {
 
 CliqueOptions exact_opts() {
   CliqueOptions o;
+  o.algorithm = Algorithm::C3ListCD;
   o.edge_order = EdgeOrderKind::ExactCommunityDegeneracy;
   return o;
 }
 
 CliqueOptions approx_opts() {
   CliqueOptions o;
+  o.algorithm = Algorithm::C3ListCD;
   o.edge_order = EdgeOrderKind::ApproxCommunityDegeneracy;
   return o;
 }
@@ -35,8 +36,8 @@ CliqueOptions approx_opts() {
 TEST(C3ListCD, CompleteGraphClosedForm) {
   const Graph g = complete_graph(11);
   for (int k = 3; k <= 11; ++k) {
-    EXPECT_EQ(c3list_cd_count(g, k, exact_opts()).count, binomial(11, k)) << "k=" << k;
-    EXPECT_EQ(c3list_cd_count(g, k, approx_opts()).count, binomial(11, k)) << "k=" << k;
+    EXPECT_EQ(count_cliques(g, k, exact_opts()).count, binomial(11, k)) << "k=" << k;
+    EXPECT_EQ(count_cliques(g, k, approx_opts()).count, binomial(11, k)) << "k=" << k;
   }
 }
 
@@ -45,9 +46,9 @@ TEST(C3ListCD, MatchesBruteForceBothOrders) {
     const Graph g = erdos_renyi(45, 330, seed);
     for (int k = 3; k <= 7; ++k) {
       const count_t expect = brute_force_count(g, k);
-      EXPECT_EQ(c3list_cd_count(g, k, exact_opts()).count, expect)
+      EXPECT_EQ(count_cliques(g, k, exact_opts()).count, expect)
           << "exact seed " << seed << " k " << k;
-      EXPECT_EQ(c3list_cd_count(g, k, approx_opts()).count, expect)
+      EXPECT_EQ(count_cliques(g, k, approx_opts()).count, expect)
           << "approx seed " << seed << " k " << k;
     }
   }
@@ -55,23 +56,23 @@ TEST(C3ListCD, MatchesBruteForceBothOrders) {
 
 TEST(C3ListCD, CandidateSetsBoundedBySigma) {
   const Graph g = bio_like(300, 1200, 10, 14, 0.5, 4);
-  const CliqueResult r = c3list_cd_count(g, 5, exact_opts());
+  const CliqueResult r = count_cliques(g, 5, exact_opts());
   // Theorem 4.3: gamma here is bounded by the exact sigma.
   EXPECT_LE(r.stats.gamma, r.stats.order_quality);
 }
 
 TEST(C3ListCD, TrivialAndEdgeCases) {
   const Graph g = erdos_renyi(50, 150, 9);
-  EXPECT_EQ(c3list_cd_count(g, 1, exact_opts()).count, 50u);
-  EXPECT_EQ(c3list_cd_count(g, 2, exact_opts()).count, 150u);
-  EXPECT_EQ(c3list_cd_count(Graph{}, 4, exact_opts()).count, 0u);
-  EXPECT_EQ(c3list_cd_count(hypercube(5), 3, exact_opts()).count, 0u);
+  EXPECT_EQ(count_cliques(g, 1, exact_opts()).count, 50u);
+  EXPECT_EQ(count_cliques(g, 2, exact_opts()).count, 150u);
+  EXPECT_EQ(count_cliques(Graph{}, 4, exact_opts()).count, 0u);
+  EXPECT_EQ(count_cliques(hypercube(5), 3, exact_opts()).count, 0u);
 }
 
 TEST(C3ListCD, K3EqualsTriangles) {
   const Graph g = social_like(300, 2000, 0.4, 5);
-  EXPECT_EQ(c3list_cd_count(g, 3, exact_opts()).count, brute_force_count(g, 3));
-  EXPECT_EQ(c3list_cd_count(g, 3, approx_opts()).count, brute_force_count(g, 3));
+  EXPECT_EQ(count_cliques(g, 3, exact_opts()).count, brute_force_count(g, 3));
+  EXPECT_EQ(count_cliques(g, 3, approx_opts()).count, brute_force_count(g, 3));
 }
 
 TEST(C3ListCD, ListingMatchesCountingAndIsValid) {
@@ -80,7 +81,7 @@ TEST(C3ListCD, ListingMatchesCountingAndIsValid) {
     const count_t expect = brute_force_count(g, k);
     for (const auto& opts : {exact_opts(), approx_opts()}) {
       testing::CliqueCollector collector(g, k);
-      const CliqueResult r = c3list_cd_list(g, k, collector.callback(), opts);
+      const CliqueResult r = list_cliques(g, k, collector.callback(), opts);
       EXPECT_EQ(r.count, expect) << "k=" << k;
       collector.expect_valid(expect);
     }
@@ -91,16 +92,20 @@ TEST(C3ListCD, SharedCliquesAcrossManyEdgesCountedOnce) {
   // Overlapping cliques stress the "lowest edge owns the clique" rule.
   const Graph g = collaboration_like(120, 80, 10, 13);
   for (int k = 4; k <= 6; ++k) {
-    EXPECT_EQ(c3list_cd_count(g, k, exact_opts()).count, brute_force_count(g, k)) << "k=" << k;
+    EXPECT_EQ(count_cliques(g, k, exact_opts()).count, brute_force_count(g, k)) << "k=" << k;
   }
 }
 
 TEST(C3ListCD, PrecomputedOrderReuse) {
+  // One prepared edge order serves every k, and it is the exact order.
   const Graph g = erdos_renyi(40, 250, 17);
-  const EdgeOrderResult order = community_degeneracy_order(g);
+  const PreparedGraph engine(g, exact_opts());
   for (int k = 3; k <= 6; ++k) {
-    EXPECT_EQ(c3list_cd_count_with_order(g, k, order).count, brute_force_count(g, k));
+    EXPECT_EQ(engine.count(k).count, brute_force_count(g, k)) << "k=" << k;
   }
+  const EdgeOrderResult* order = engine.edge_order_if_built();
+  ASSERT_NE(order, nullptr);
+  EXPECT_TRUE(std::ranges::equal(order->order, community_degeneracy_order(g).order));
 }
 
 TEST(C3ListCD, TopLevelTasksAreTheQualifyingEdges) {
@@ -115,7 +120,7 @@ TEST(C3ListCD, TopLevelTasksAreTheQualifyingEdges) {
       for (edge_t e = 0; e < g.num_edges(); ++e) {
         if (order.candidate_count(e) >= static_cast<node_t>(k - 2)) ++qualifying;
       }
-      EXPECT_EQ(c3list_cd_count(g, k, opts).stats.top_level_tasks, qualifying) << "k=" << k;
+      EXPECT_EQ(count_cliques(g, k, opts).stats.top_level_tasks, qualifying) << "k=" << k;
     }
   }
 }

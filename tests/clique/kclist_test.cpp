@@ -1,11 +1,10 @@
 // Tests for the kcList baseline (Danisch et al.).
-#include "clique/kclist.hpp"
-
 #include <gtest/gtest.h>
 
 #include <climits>
 #include <vector>
 
+#include "clique/api.hpp"
 #include "clique/bruteforce.hpp"
 #include "clique/combinatorics.hpp"
 #include "clique/engine.hpp"
@@ -16,10 +15,12 @@
 namespace c3 {
 namespace {
 
+const CliqueOptions kKcList{.algorithm = Algorithm::KCList};
+
 TEST(KCList, CompleteGraphClosedForm) {
   const Graph g = complete_graph(11);
   for (int k = 3; k <= 11; ++k) {
-    EXPECT_EQ(kclist_count(g, k).count, binomial(11, k)) << "k=" << k;
+    EXPECT_EQ(count_cliques(g, k, kKcList).count, binomial(11, k)) << "k=" << k;
   }
 }
 
@@ -27,7 +28,7 @@ TEST(KCList, MatchesBruteForce) {
   for (const std::uint64_t seed : {1, 2, 3}) {
     const Graph g = erdos_renyi(45, 330, seed);
     for (int k = 3; k <= 7; ++k) {
-      EXPECT_EQ(kclist_count(g, k).count, brute_force_count(g, k))
+      EXPECT_EQ(count_cliques(g, k, kKcList).count, brute_force_count(g, k))
           << "seed " << seed << " k " << k;
     }
   }
@@ -35,10 +36,10 @@ TEST(KCList, MatchesBruteForce) {
 
 TEST(KCList, WorksWithApproximateOrderToo) {
   const Graph g = erdos_renyi(60, 500, 4);
-  CliqueOptions approx;
+  CliqueOptions approx = kKcList;
   approx.vertex_order = VertexOrderKind::ApproxDegeneracy;
   for (int k = 4; k <= 6; ++k) {
-    EXPECT_EQ(kclist_count(g, k, approx).count, kclist_count(g, k).count) << "k=" << k;
+    EXPECT_EQ(count_cliques(g, k, approx).count, count_cliques(g, k, kKcList).count) << "k=" << k;
   }
 }
 
@@ -47,7 +48,7 @@ TEST(KCList, ListingMatchesCountingAndIsValid) {
   for (int k = 3; k <= 6; ++k) {
     const count_t expect = brute_force_count(g, k);
     testing::CliqueCollector collector(g, k);
-    const CliqueResult r = kclist_list(g, k, collector.callback());
+    const CliqueResult r = list_cliques(g, k, collector.callback(), kKcList);
     EXPECT_EQ(r.count, expect) << "k=" << k;
     collector.expect_valid(expect);
   }
@@ -55,10 +56,10 @@ TEST(KCList, ListingMatchesCountingAndIsValid) {
 
 TEST(KCList, TrivialSizesAndEmpty) {
   const Graph g = erdos_renyi(40, 100, 37);
-  EXPECT_EQ(kclist_count(g, 1).count, 40u);
-  EXPECT_EQ(kclist_count(g, 2).count, 100u);
-  EXPECT_EQ(kclist_count(Graph{}, 5).count, 0u);
-  EXPECT_EQ(kclist_count(hypercube(5), 3).count, 0u);
+  EXPECT_EQ(count_cliques(g, 1, kKcList).count, 40u);
+  EXPECT_EQ(count_cliques(g, 2, kKcList).count, 100u);
+  EXPECT_EQ(count_cliques(Graph{}, 5, kKcList).count, 0u);
+  EXPECT_EQ(count_cliques(hypercube(5), 3, kKcList).count, 0u);
 }
 
 /// A sparse Erdős–Rényi graph next to a disjoint K40 (vertices 200..239):
@@ -123,7 +124,9 @@ TEST(KCList, CsrPathAgreesOnSparseAndWideNeighbourhoods) {
   EXPECT_FALSE(kc.find_clique(41).has_value());
 }
 
-TEST(KCList, RejectsAbsurdK) { EXPECT_THROW((void)kclist_count(complete_graph(4), 300), std::invalid_argument); }
+TEST(KCList, RejectsAbsurdK) {
+  EXPECT_THROW((void)count_cliques(complete_graph(4), 300, kKcList), std::invalid_argument);
+}
 
 }  // namespace
 }  // namespace c3
