@@ -61,10 +61,6 @@ int main(int argc, char** argv) {
     cd_approx.algorithm = c3::Algorithm::C3ListCD;
     cd_approx.edge_order = c3::EdgeOrderKind::ApproxCommunityDegeneracy;
     row("cd Algorithm-4 order (best depth)", ds.graph, k, cd_approx, table);
-
-    c3::CliqueOptions tri;
-    tri.triangle_growth = true;
-    row("c3 triangle-growth (future work)", ds.graph, k, tri, table);
   }
   table.print();
   return 0;

@@ -105,30 +105,27 @@ Algorithm parse_algorithm(const std::string& name) {
 CliqueOptions options_from_cli(const CommandLine& cli) {
   CliqueOptions opts;
   opts.algorithm = parse_algorithm(cli.get_string("alg", "c3list"));
-  opts.triangle_growth = cli.has_flag("triangle-growth");
   if (cli.has_flag("no-prune")) opts.distance_pruning = false;
   return opts;
 }
 
 /// Opens a snapshot for serving. The artifact fingerprint comes from the
-/// file; an explicit --alg must agree with it, and the runtime-only flags
-/// (--triangle-growth / --no-prune) apply on top without re-preparing.
+/// file; an explicit --alg must agree with it, and the runtime-only flag
+/// --no-prune applies on top without re-preparing.
 /// --prefault / --mlock pass the warm-up hints through.
 snapshot::Snapshot open_snapshot(const CommandLine& cli, const std::string& path) {
   snapshot::SnapshotOpenOptions open_opts;
   open_opts.prefault = cli.has_flag("prefault");
   open_opts.lock_memory = cli.has_flag("mlock");
   const auto alg = cli.get("alg");
-  const bool triangle_growth = cli.has_flag("triangle-growth");
   const bool no_prune = cli.has_flag("no-prune");
   // The common invocation adopts the snapshot's stored options wholesale —
   // one open, one validation pass.
-  if (!alg.has_value() && !triangle_growth && !no_prune) {
+  if (!alg.has_value() && !no_prune) {
     return snapshot::Snapshot::open(path, open_opts);
   }
   CliqueOptions expected = snapshot::inspect(path).options;
   if (alg.has_value()) expected.algorithm = parse_algorithm(*alg);
-  if (triangle_growth) expected.triangle_growth = true;
   if (no_prune) expected.distance_pruning = false;
   return snapshot::Snapshot::open(path, expected, open_opts);
 }
@@ -309,11 +306,11 @@ int cmd_inspect(const CommandLine& cli) {
               info.format_version, info.artifact_schema, with_commas(info.file_bytes).c_str());
   std::printf("graph: %s vertices, %s edges\n", with_commas(info.num_nodes).c_str(),
               with_commas(info.num_edges).c_str());
-  std::printf("fingerprint: alg %s, vertex order %s, edge order %s, eps %g, seed %llu%s%s\n",
+  std::printf("fingerprint: alg %s, vertex order %s, edge order %s, eps %g, seed %llu%s\n",
               algorithm_name(o.algorithm), vertex_order_name(o.vertex_order),
               edge_order_name(o.edge_order), o.eps,
               static_cast<unsigned long long>(o.order_seed),
-              o.distance_pruning ? "" : ", no-prune", o.triangle_growth ? ", triangle-growth" : "");
+              o.distance_pruning ? "" : ", no-prune");
   std::string artifacts;
   if (info.has(snapshot::kArtifactDag)) artifacts += " dag";
   if (info.has(snapshot::kArtifactCommunities)) artifacts += " communities";
@@ -435,7 +432,7 @@ void usage() {
       "            serialize graph + prepared engine into an mmap-able snapshot)\n"
       "  inspect   --in FILE.c3snap  (header, fingerprint, artifact mask, sections\n"
       "            — validates the header without loading any artifact)\n"
-      "  count     --in FILE --k K [--alg A] [--triangle-growth] [--no-prune]\n"
+      "  count     --in FILE --k K [--alg A] [--no-prune]\n"
       "  sweep     --in FILE [--kmin 3] [--kmax 0] [--alg A]  (prepare once, all k)\n"
       "  maxclique --in FILE\n"
       "  batch     --in FILE --queries FILE [--alg A]\n"

@@ -41,7 +41,6 @@ std::uint64_t engine_fingerprint(std::string_view graph_id, const PreparedGraph&
   h = fnv1a_value(o.eps, h);
   h = fnv1a_value(o.order_seed, h);
   h = fnv1a_value(static_cast<std::uint32_t>(o.distance_pruning ? 1 : 0), h);
-  h = fnv1a_value(static_cast<std::uint32_t>(o.triangle_growth ? 1 : 0), h);
   h = fnv1a_value(static_cast<std::uint64_t>(g.num_nodes()), h);
   h = fnv1a_value(static_cast<std::uint64_t>(g.num_edges()), h);
   return h;

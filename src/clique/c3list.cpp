@@ -108,8 +108,7 @@ CliqueResult c3list_search(const Digraph& dag, const EdgeCommunities& comms, int
             w.ctx.clique_stack.push_back(dag.original_id(u));
             w.ctx.clique_stack.push_back(dag.original_id(v));
           }
-          const count_t found =
-              search_cliques_below(w.ctx, w.lg.row(j), j, k - 2, opts.triangle_growth);
+          const count_t found = search_cliques_below(w.ctx, w.lg.row(j), j, k - 2);
           w.count += found;
           if (tally != nullptr) {
             const node_t outer[] = {dag.original_id(u), dag.original_id(v)};

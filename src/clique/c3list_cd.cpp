@@ -201,8 +201,7 @@ CliqueResult c3list_cd_search(const Graph& g, const EdgeOrderResult& order, int 
             w.ctx.clique_stack.push_back(task.v);
           }
           // Algorithm 3, line 5: recurse on V'(e) with c = k - 2.
-          const count_t found =
-              search_cliques_below(w.ctx, s.mask.data(), task.end, k - 2, opts.triangle_growth);
+          const count_t found = search_cliques_below(w.ctx, s.mask.data(), task.end, k - 2);
           for (const int a : members) bits::clear_bit(s.mask.data(), static_cast<std::size_t>(a));
           w.count += found;
           if (tally != nullptr) {

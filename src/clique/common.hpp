@@ -62,10 +62,6 @@ struct CliqueOptions {
   /// reverts to probing all candidate pairs — the ablation of Figure 2's
   /// pruning rule.
   bool distance_pruning = true;
-  /// Grow the clique by triangles (3 vertices per level) instead of edges —
-  /// the generalization the paper's conclusion raises as future work.
-  /// Supported by C3List, C3ListCD, and Hybrid.
-  bool triangle_growth = false;
 };
 
 /// Instrumentation counters, aggregated over all workers. These are the

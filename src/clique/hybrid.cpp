@@ -76,7 +76,7 @@ CliqueResult hybrid_search(const Digraph& dag, int k, const CliqueSink& sink, St
         }
 
         // Search (k-1)-cliques in G[N+(v)]; each completes with v.
-        const count_t found = search_cliques_all(w.ctx, k - 1, opts.triangle_growth);
+        const count_t found = search_cliques_all(w.ctx, k - 1);
         w.count += found;
         if (tally != nullptr) {
           // Inner rank r is members[inner_order[r]], the arc from v at that

@@ -119,9 +119,13 @@ count_t tally_leaf2(SearchContext& ctx, const std::uint64_t* mask) {
   return twice / 2;
 }
 
+/// The edge-growth recursion of Algorithm 2 over candidates I (mask I_mask)
+/// for c more vertices. Aligned to a cache line, like kcList's descend:
+/// where the function starts decides how its inner loops fall on 64-byte
+/// boundaries.
 template <Mode M>
-count_t pairs(SearchContext& ctx, std::span<const int> I, const std::uint64_t* I_mask, int c,
-              int level) {
+[[gnu::aligned(64)]] count_t pairs(SearchContext& ctx, std::span<const int> I,
+                                   const std::uint64_t* I_mask, int c, int level) {
   assert(c >= 1);
   LocalCounters& ctr = *ctx.ctr;
   ++ctr.recursive_calls;
@@ -260,81 +264,6 @@ count_t pairs(SearchContext& ctx, std::span<const int> I, const std::uint64_t* I
   return total;
 }
 
-template <Mode M>
-count_t triangles(SearchContext& ctx, std::span<const int> I, const std::uint64_t* I_mask, int c,
-                  int level) {
-  // The pair-growth bases already handle c <= 3 (a triangle is counted at
-  // its supporting pair with one popcount).
-  if (c <= 3) return pairs<M>(ctx, I, I_mask, c, level);
-
-  LocalCounters& ctr = *ctx.ctr;
-  ++ctr.recursive_calls;
-  if (ctx.poll_stop()) return 0;
-
-  const LocalGraph& lg = *ctx.lg;
-  const int words = ctx.words;
-  const int t = static_cast<int>(I.size());
-  const int gap = ctx.prune ? c - 2 : 0;
-  std::uint64_t* community = ctx.mask_at(level);
-  std::uint64_t* inner = ctx.mask_at(level + 1);
-  count_t total = 0;
-
-  for (int i = 0; i < t && !ctx.stopped; ++i) {
-    const int a = I[static_cast<std::size_t>(i)];
-    const std::uint64_t* row_a = lg.row(a);
-    for (int j = i + 1 + gap; j < t && !ctx.stopped; ++j) {
-      const int b = I[static_cast<std::size_t>(j)];
-      ++ctr.pairs_probed;
-      if (!bits::test_bit(row_a, static_cast<std::size_t>(b))) continue;
-      ++ctr.edges_matched;
-      const int bsz = intersect_community(row_a, lg.row(b), I_mask, words, a, b, community, ctr);
-      if (bsz < c - 2) continue;
-
-      // Grow by the third triangle vertex: the minimal internal member x.
-      bits::for_each_bit(community, static_cast<std::size_t>(words), [&](std::size_t xbit) {
-        if (ctx.stopped) return;
-        const int x = static_cast<int>(xbit);
-        // inner = community ∩ N(x) ∩ {> x}, fused with its popcount.
-        ctr.intersection_words += static_cast<std::size_t>(words) - bits::word_index(xbit);
-        const std::uint64_t isz = kern::intersect_above(
-            lg.row(x), community, inner, static_cast<std::size_t>(words), xbit);
-        if (isz < static_cast<std::uint64_t>(c - 3)) return;
-
-        if constexpr (M == Mode::Count) {
-          if (c - 3 == 1) {
-            ++ctr.recursive_calls;
-            ctr.leaf_work += isz;
-            total += isz;
-            return;
-          }
-        }
-        if constexpr (M == Mode::Tally) {
-          if (c - 3 == 1) {
-            ++ctr.recursive_calls;
-            if (ctx.poll_stop()) return;
-            StackPush<M> push(ctx, {a, b, x});
-            const count_t found = tally_leaf1(ctx, inner);
-            push.credit(found);
-            total += found;
-            return;
-          }
-        }
-        int* next = ctx.cand_at(level);
-        int pos = 0;
-        bits::for_each_bit(inner, static_cast<std::size_t>(words),
-                           [&](std::size_t y) { next[pos++] = static_cast<int>(y); });
-        StackPush<M> push(ctx, {a, b, x});
-        const count_t found = triangles<M>(
-            ctx, std::span<const int>(next, static_cast<std::size_t>(pos)), inner, c - 3,
-            level + 2);
-        if constexpr (M == Mode::Tally) push.credit(found);
-        total += found;
-      });
-    }
-  }
-  return total;
-}
-
 /// Calls f(x) for the first `limit` set bits x of `a`, ascending, until f
 /// returns false.
 template <typename F>
@@ -351,9 +280,12 @@ void for_each_leading_bit(const std::uint64_t* a, std::size_t nwords, std::uint6
 /// candidates above it, so only the first p - c + 1 can start a clique; the
 /// rest are skipped without an intersection (the counterpart of Algorithm
 /// 2's relevant-pair criterion).
+///
+/// Aligned to a cache line, like kcList's descend: where the function starts
+/// decides how its inner loops fall on 64-byte boundaries.
 template <Mode M>
-count_t vertices(SearchContext& ctx, const std::uint64_t* mask, std::uint64_t p, int c,
-                 int level) {
+[[gnu::aligned(64)]] count_t vertices(SearchContext& ctx, const std::uint64_t* mask,
+                                      std::uint64_t p, int c, int level) {
   assert(c >= 1);
   LocalCounters& ctr = *ctx.ctr;
   ++ctr.recursive_calls;
@@ -471,13 +403,6 @@ count_t search_cliques(SearchContext& ctx, std::span<const int> I, const std::ui
   });
 }
 
-count_t search_cliques_tri(SearchContext& ctx, std::span<const int> I,
-                           const std::uint64_t* I_mask, int c, int level) {
-  return with_mode(ctx, [&](auto mode) {
-    return triangles<decltype(mode)::value>(ctx, I, I_mask, c, level);
-  });
-}
-
 count_t search_cliques_vertex(SearchContext& ctx, const std::uint64_t* mask, int c, int level) {
   const std::uint64_t p = kern::popcount(mask, static_cast<std::size_t>(ctx.words));
   return with_mode(ctx, [&](auto mode) {
@@ -485,17 +410,17 @@ count_t search_cliques_vertex(SearchContext& ctx, const std::uint64_t* mask, int
   });
 }
 
-count_t search_cliques_below(SearchContext& ctx, const std::uint64_t* row, int end, int c,
-                             bool triangle_growth) {
+count_t search_cliques_below(SearchContext& ctx, const std::uint64_t* row, int end, int c) {
   // Every candidate lies below `end`, so the search reads only the words
   // that cover it.
   ctx.words = static_cast<int>(bits::kernel_stride_words(static_cast<std::size_t>(end)));
   const auto words = static_cast<std::size_t>(ctx.words);
-  // Depth bound: c shrinks by >= 2 per level (pair growth) and the triangle
-  // variant consumes two mask slots per level; c + 3 covers both with slack.
-  ctx.ensure_capacity(end, c + 3, static_cast<int>(words));
-  int* top = ctx.cand_at(c + 2);  // top level borrows the last slot
-  std::uint64_t* mask = ctx.mask_at(c + 2);
+  // c drops by 2 per level and only a level with c >= 3 takes a slot, so the
+  // search uses slots 0..(c - 3) / 2; the top level borrows the next one.
+  const int top_slot = (c - 1) / 2;
+  ctx.ensure_capacity(end, top_slot + 1, static_cast<int>(words));
+  int* top = ctx.cand_at(top_slot);
+  std::uint64_t* mask = ctx.mask_at(top_slot);
   bits::fill_prefix(mask, static_cast<std::size_t>(end), words);
   int t = 0;
   if (row == nullptr) {
@@ -506,8 +431,7 @@ count_t search_cliques_below(SearchContext& ctx, const std::uint64_t* row, int e
     bits::for_each_bit(mask, used, [&](std::size_t x) { top[t++] = static_cast<int>(x); });
   }
   const std::span<const int> I(top, static_cast<std::size_t>(t));
-  return triangle_growth ? search_cliques_tri(ctx, I, mask, c, 0)
-                         : search_cliques(ctx, I, mask, c, 0);
+  return search_cliques(ctx, I, mask, c, 0);
 }
 
 count_t search_cliques_vertex_all(SearchContext& ctx, int c) {

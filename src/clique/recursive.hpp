@@ -171,38 +171,27 @@ void flush_task_tally(SearchContext& ctx, count_t found, int end, std::span<cons
 /// Runs Algorithm 2: counts (and in listing mode reports, in aggregation
 /// mode tallies) the c-cliques of ctx.lg restricted to candidates `I`
 /// (sorted ascending local ids) with membership mask `I_mask`. `level`
-/// indexes the scratch arrays and must leave room for ceil(c/2) further
-/// levels.
+/// indexes the scratch arrays and must leave room for (c - 1) / 2 further
+/// levels (one per level with c >= 3).
 [[nodiscard]] count_t search_cliques(SearchContext& ctx, std::span<const int> I,
                                      const std::uint64_t* I_mask, int c, int level);
-
-/// Runs the *triangle-growth* generalization the paper's conclusion poses as
-/// future work ("extend the cliques by larger motifs such as triangles"):
-/// each level adds a triangle (a, x, b) — a/b the extremes and x the minimal
-/// internal vertex of the remaining clique — and recurses with c - 3 on
-/// B(a,b) ∩ N(x) ∩ {> x}. Uniqueness: (min, second-min, max) of every clique
-/// is a canonical triple, so each clique is still produced exactly once.
-/// Depth shrinks from ~c/2 to ~c/3 levels.
-[[nodiscard]] count_t search_cliques_tri(SearchContext& ctx, std::span<const int> I,
-                                         const std::uint64_t* I_mask, int c, int level);
 
 /// Top-level entry of Algorithm 2: searches the c-cliques among the local
 /// vertices below `end` whose bit is set in `row` (every vertex below `end`
 /// when `row` is null). Sizes the scratch, materializes the candidate array
 /// and mask in the top-level slot, narrows ctx.words to the words covering
-/// `end`, and runs search_cliques (or search_cliques_tri). c3List passes
-/// row(j) of the per-source local graph
-/// and end = j, so the candidates are the community of the arc to local
-/// vertex j (Algorithm 1, line 3). c3List-CD passes the mask of V'(e) and
-/// the end of its prefix of the source's universe (Algorithm 3, line 5).
+/// `end`, and runs search_cliques. c3List passes row(j) of the per-source
+/// local graph and end = j, so the candidates are the community of the arc
+/// to local vertex j (Algorithm 1, line 3). c3List-CD passes the mask of
+/// V'(e) and the end of its prefix of the source's universe (Algorithm 3,
+/// line 5).
 [[nodiscard]] count_t search_cliques_below(SearchContext& ctx, const std::uint64_t* row, int end,
-                                           int c, bool triangle_growth = false);
+                                           int c);
 
 /// Search over *all* vertices of the local graph (candidate set = the full
 /// universe). Used by the hybrid's per-vertex subproblems (I = N+(v)).
-[[nodiscard]] inline count_t search_cliques_all(SearchContext& ctx, int c,
-                                                bool triangle_growth = false) {
-  return search_cliques_below(ctx, nullptr, ctx.lg->size(), c, triangle_growth);
+[[nodiscard]] inline count_t search_cliques_all(SearchContext& ctx, int c) {
+  return search_cliques_below(ctx, nullptr, ctx.lg->size(), c);
 }
 
 /// Vertex-at-a-time recursion over the candidate mask: pick the next clique

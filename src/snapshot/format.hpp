@@ -117,7 +117,7 @@ struct SnapshotHeader {
   std::uint32_t algorithm = 0;      // c3::Algorithm
   std::uint32_t vertex_order = 0;   // c3::VertexOrderKind
   std::uint32_t edge_order_kind = 0;  // c3::EdgeOrderKind
-  std::uint32_t option_flags = 0;   // bit 0: distance_pruning, bit 1: triangle_growth
+  std::uint32_t option_flags = 0;   // bit 0: distance_pruning, bit 1: retired
   std::uint64_t eps_bits = 0;       // bit pattern of CliqueOptions::eps
   std::uint64_t order_seed = 0;
 
@@ -136,7 +136,12 @@ struct SnapshotHeader {
 static_assert(sizeof(SnapshotHeader) == 112);
 
 inline constexpr std::uint32_t kOptionDistancePruning = 1u << 0;
-inline constexpr std::uint32_t kOptionTriangleGrowth = 1u << 1;
+/// Bit 1 recorded triangle_growth, a search-only option since removed; no
+/// artifact depended on it. Readers ignore it and writers leave it clear, so
+/// a snapshot that sets it still opens with the same answers.
+inline constexpr std::uint32_t kOptionRetired = 1u << 1;
+/// Readers refuse a snapshot that sets any bit outside these.
+inline constexpr std::uint32_t kOptionKnownBits = kOptionDistancePruning | kOptionRetired;
 
 /// The section checksum: FNV-1a folded over 64-bit words (little-endian
 /// loads, zero-padded tail) instead of bytes — one multiply per 8 bytes, so

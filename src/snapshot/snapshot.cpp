@@ -231,6 +231,10 @@ CliqueOptions header_options(const SnapshotHeader& h, const std::filesystem::pat
     fail(path, "corrupt options fingerprint (algorithm " + u64s(h.algorithm) + ", vertex order " +
                    u64s(h.vertex_order) + ", edge order " + u64s(h.edge_order_kind) + ")");
   }
+  if ((h.option_flags & ~kOptionKnownBits) != 0) {
+    fail(path, "option_flags " + hex64(h.option_flags) + " sets unknown bits " +
+                   hex64(h.option_flags & ~kOptionKnownBits));
+  }
   CliqueOptions opts;
   opts.algorithm = static_cast<Algorithm>(h.algorithm);
   opts.vertex_order = static_cast<VertexOrderKind>(h.vertex_order);
@@ -238,7 +242,6 @@ CliqueOptions header_options(const SnapshotHeader& h, const std::filesystem::pat
   std::memcpy(&opts.eps, &h.eps_bits, sizeof opts.eps);
   opts.order_seed = h.order_seed;
   opts.distance_pruning = (h.option_flags & kOptionDistancePruning) != 0;
-  opts.triangle_growth = (h.option_flags & kOptionTriangleGrowth) != 0;
   return opts;
 }
 
@@ -276,8 +279,7 @@ void write(const std::filesystem::path& path, const PreparedGraph& engine) {
   h.algorithm = static_cast<std::uint32_t>(opts.algorithm);
   h.vertex_order = static_cast<std::uint32_t>(opts.vertex_order);
   h.edge_order_kind = static_cast<std::uint32_t>(opts.edge_order);
-  h.option_flags = (opts.distance_pruning ? kOptionDistancePruning : 0u) |
-                   (opts.triangle_growth ? kOptionTriangleGrowth : 0u);
+  h.option_flags = opts.distance_pruning ? kOptionDistancePruning : 0u;
   std::memcpy(&h.eps_bits, &opts.eps, sizeof h.eps_bits);
   h.order_seed = opts.order_seed;
   h.num_nodes = g.num_nodes();
@@ -445,10 +447,9 @@ Snapshot Snapshot::open_with(const std::filesystem::path& path, const CliqueOpti
   CliqueOptions opts = impl.info.options;
   if (expected != nullptr) {
     check_fingerprint(path, opts, *expected);
-    // Runtime-only knobs follow the caller; they change search behavior, not
-    // the prepared artifacts.
+    // The runtime-only knob follows the caller; it changes search behavior,
+    // not the prepared artifacts.
     opts.distance_pruning = expected->distance_pruning;
-    opts.triangle_growth = expected->triangle_growth;
     impl.info.options = opts;
   }
 

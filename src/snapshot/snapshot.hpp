@@ -112,9 +112,9 @@ class Snapshot {
 
   /// As above, but refuses (std::runtime_error naming the field) when the
   /// snapshot's artifact fingerprint — algorithm, vertex/edge order kinds,
-  /// eps, order seed — differs from `expected`. The runtime-only fields of
-  /// `expected` (distance_pruning, triangle_growth) override the stored
-  /// ones, so a serving process can flip them without re-preparing.
+  /// eps, order seed — differs from `expected`. The runtime-only field of
+  /// `expected` (distance_pruning) overrides the stored one, so a serving
+  /// process can flip it without re-preparing.
   [[nodiscard]] static Snapshot open(const std::filesystem::path& path,
                                      const CliqueOptions& expected,
                                      const SnapshotOpenOptions& opts = {});

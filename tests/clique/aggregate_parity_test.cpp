@@ -86,10 +86,6 @@ std::vector<Config> configs() {
     c.name = std::string(name) + "_NoPruning";
     c.opts.distance_pruning = false;
     out.push_back(c);
-    c.name = std::string(name) + "_TriangleGrowth";
-    c.opts.distance_pruning = true;
-    c.opts.triangle_growth = true;
-    out.push_back(c);
   }
   Config kc = add("kcList", Algorithm::KCList);
   kc.name = "kcList_DenseAlways";

@@ -167,7 +167,6 @@ struct Variant {
   std::string name;
   EdgeOrderKind edge_order = EdgeOrderKind::ExactCommunityDegeneracy;
   bool distance_pruning = true;
-  bool triangle_growth = false;
 };
 
 void PrintTo(const Variant& variant, std::ostream* os) { *os << variant.name; }
@@ -177,7 +176,6 @@ CliqueOptions variant_opts(const Variant& variant) {
   o.algorithm = Algorithm::C3ListCD;
   o.edge_order = variant.edge_order;
   o.distance_pruning = variant.distance_pruning;
-  o.triangle_growth = variant.triangle_growth;
   return o;
 }
 
@@ -332,9 +330,8 @@ TEST_P(C3ListCDWideUniverseTest, HubOwningNoEdgeMatchesKcList) {
   }
 }
 
-// At k <= 4 every search is a c <= 2 leaf, where neither the pruning nor
-// the triangle growth acts, so the planted cliques run under the two edge
-// orders only.
+// At k <= 4 every search is a c <= 2 leaf, where the pruning does not act,
+// so the planted cliques run under the two edge orders only.
 class C3ListCDPlantedTest : public ::testing::TestWithParam<Variant> {};
 
 TEST_P(C3ListCDPlantedTest, PlantedCliquesMatchKcListAndClosedForm) {
@@ -375,18 +372,16 @@ TEST_P(C3ListCDPlantedTest, PlantedCliquesMatchKcListAndClosedForm) {
 INSTANTIATE_TEST_SUITE_P(
     Variants, C3ListCDWideUniverseTest,
     ::testing::Values(
-        Variant{"Exact", EdgeOrderKind::ExactCommunityDegeneracy, true, false},
-        Variant{"ExactNoPruning", EdgeOrderKind::ExactCommunityDegeneracy, false, false},
-        Variant{"ExactTriangleGrowth", EdgeOrderKind::ExactCommunityDegeneracy, true, true},
-        Variant{"Approx", EdgeOrderKind::ApproxCommunityDegeneracy, true, false},
-        Variant{"ApproxNoPruning", EdgeOrderKind::ApproxCommunityDegeneracy, false, false},
-        Variant{"ApproxTriangleGrowth", EdgeOrderKind::ApproxCommunityDegeneracy, true, true}),
+        Variant{"Exact", EdgeOrderKind::ExactCommunityDegeneracy, true},
+        Variant{"ExactNoPruning", EdgeOrderKind::ExactCommunityDegeneracy, false},
+        Variant{"Approx", EdgeOrderKind::ApproxCommunityDegeneracy, true},
+        Variant{"ApproxNoPruning", EdgeOrderKind::ApproxCommunityDegeneracy, false}),
     [](const ::testing::TestParamInfo<Variant>& info) { return info.param.name; });
 
 INSTANTIATE_TEST_SUITE_P(
     Orders, C3ListCDPlantedTest,
-    ::testing::Values(Variant{"Exact", EdgeOrderKind::ExactCommunityDegeneracy, true, false},
-                      Variant{"Approx", EdgeOrderKind::ApproxCommunityDegeneracy, true, false}),
+    ::testing::Values(Variant{"Exact", EdgeOrderKind::ExactCommunityDegeneracy, true},
+                      Variant{"Approx", EdgeOrderKind::ApproxCommunityDegeneracy, true}),
     [](const ::testing::TestParamInfo<Variant>& info) { return info.param.name; });
 
 }  // namespace

@@ -26,6 +26,8 @@ TEST(C3List, CompleteGraphClosedForm) {
     EXPECT_EQ(count_cliques(g, k).count, binomial(12, k)) << "k=" << k;
   }
   EXPECT_EQ(count_cliques(g, 13).count, 0u);
+  // A deep search: k = 14 in K_24 grows the clique by seven edges.
+  EXPECT_EQ(count_cliques(complete_graph(24), 14).count, binomial(24, 14));
 }
 
 TEST(C3List, TrivialSizes) {
@@ -48,6 +50,11 @@ TEST(C3List, MatchesBruteForceAcrossSeedsAndK) {
       EXPECT_EQ(count_cliques(g, k).count, brute_force_count(g, k))
           << "seed " << seed << " k " << k;
     }
+  }
+  // Dense blocks over a sparse backbone: cliques of up to 8 vertices.
+  const Graph bio = bio_like(300, 1500, 12, 16, 0.6, 7);
+  for (int k = 4; k <= 8; ++k) {
+    EXPECT_EQ(count_cliques(bio, k).count, brute_force_count(bio, k)) << "bio_like k " << k;
   }
 }
 
@@ -256,7 +263,6 @@ std::vector<std::vector<node_t>> sorted_cliques(std::vector<std::vector<node_t>>
 struct Variant {
   std::string name;
   bool distance_pruning = true;
-  bool triangle_growth = false;
 };
 
 void PrintTo(const Variant& variant, std::ostream* os) { *os << variant.name; }
@@ -271,7 +277,6 @@ TEST_P(C3ListWideUniverseTest, FansMatchKcListAndClosedForm) {
   opts.algorithm = Algorithm::C3List;
   opts.vertex_order = VertexOrderKind::ById;
   opts.distance_pruning = GetParam().distance_pruning;
-  opts.triangle_growth = GetParam().triangle_growth;
   const PreparedGraph c3(g, opts);
   CliqueOptions ref_opts;
   ref_opts.algorithm = Algorithm::KCList;
@@ -307,9 +312,8 @@ TEST_P(C3ListWideUniverseTest, FansMatchKcListAndClosedForm) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Variants, C3ListWideUniverseTest,
-                         ::testing::Values(Variant{"Default", true, false},
-                                           Variant{"NoPruning", false, false},
-                                           Variant{"TriangleGrowth", true, true}),
+                         ::testing::Values(Variant{"Default", true},
+                                           Variant{"NoPruning", false}),
                          [](const ::testing::TestParamInfo<Variant>& info) {
                            return info.param.name;
                          });

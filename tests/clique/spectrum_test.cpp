@@ -58,14 +58,14 @@ TEST(Spectrum, EmptyAndEdgelessGraphs) {
 
 TEST(Spectrum, OptionsAreHonored) {
   const Graph g = erdos_renyi(60, 450, 23);
-  CliqueOptions tri;
-  tri.triangle_growth = true;
+  CliqueOptions no_prune;  // a search-only option the pivot pass ignores
+  no_prune.distance_pruning = false;
   CliqueOptions approx;
   approx.vertex_order = VertexOrderKind::ApproxDegeneracy;
   const CliqueSpectrum base = clique_spectrum(g);
-  const CliqueSpectrum with_tri = clique_spectrum(g, 0, tri);
+  const CliqueSpectrum with_no_prune = clique_spectrum(g, 0, no_prune);
   const CliqueSpectrum with_approx = clique_spectrum(g, 0, approx);
-  EXPECT_EQ(base.counts, with_tri.counts);
+  EXPECT_EQ(base.counts, with_no_prune.counts);
   EXPECT_EQ(base.counts, with_approx.counts);
 }
 

@@ -35,9 +35,6 @@ std::vector<CliqueOptions> option_matrix() {
     base.algorithm = alg;
     out.push_back(base);
   }
-  CliqueOptions tri;
-  tri.triangle_growth = true;
-  out.push_back(tri);
   CliqueOptions noprune;
   noprune.distance_pruning = false;
   out.push_back(noprune);

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -245,6 +246,43 @@ TEST_F(SnapshotTest, RefusesFingerprintMismatchAndAppliesRuntimeFlags) {
   const auto snap = snapshot::Snapshot::open(path, runtime);
   EXPECT_FALSE(snap.engine().options().distance_pruning);
   EXPECT_EQ(snap.engine().count(4).count, engine.count(4).count);
+}
+
+TEST_F(SnapshotTest, RetiredOptionBitIsIgnoredAndHigherBitsAreRefused) {
+  const Graph g = erdos_renyi(70, 520, 17);
+  const PreparedGraph engine(g, {});
+  const auto path = dir_ / "flags.c3snap";
+  snapshot::write(path, engine);
+  const count_t expected = snapshot::Snapshot::open(path).engine().count(5).count;
+
+  // Copies the snapshot with `bits` set in option_flags and a header
+  // checksum that matches, so only the flags can refuse it.
+  const auto with_flags = [&](const std::string& name, std::uint32_t bits) {
+    std::ifstream in(path, std::ios::binary);
+    std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    snapshot::SnapshotHeader h;
+    std::memcpy(&h, bytes.data(), sizeof h);
+    h.option_flags |= bits;
+    h.header_checksum = 0;
+    std::uint64_t hc = snapshot::checksum64(&h, sizeof h);
+    hc = snapshot::checksum64(bytes.data() + sizeof h,
+                              h.section_count * sizeof(snapshot::SectionRecord), hc);
+    h.header_checksum = hc;
+    std::memcpy(bytes.data(), &h, sizeof h);
+    const auto out = dir_ / name;
+    std::ofstream(out, std::ios::binary)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    return out;
+  };
+
+  // Bit 1 once recorded a search-only option; a file that sets it opens.
+  const auto retired = with_flags("retired.c3snap", 1u << 1);
+  ASSERT_EQ(open_error(retired), "");
+  EXPECT_EQ(snapshot::Snapshot::open(retired).engine().count(5).count, expected);
+
+  const std::string error = open_error(with_flags("unknown.c3snap", 1u << 2));
+  EXPECT_NE(error.find("option_flags"), std::string::npos) << error;
 }
 
 TEST_F(SnapshotTest, RefusalNamesTheOrderKinds) {
