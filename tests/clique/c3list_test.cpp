@@ -26,8 +26,6 @@ TEST(C3List, CompleteGraphClosedForm) {
     EXPECT_EQ(count_cliques(g, k).count, binomial(12, k)) << "k=" << k;
   }
   EXPECT_EQ(count_cliques(g, 13).count, 0u);
-  // A deep search: k = 14 in K_24 grows the clique by seven edges.
-  EXPECT_EQ(count_cliques(complete_graph(24), 14).count, binomial(24, 14));
 }
 
 TEST(C3List, TrivialSizes) {
@@ -51,11 +49,32 @@ TEST(C3List, MatchesBruteForceAcrossSeedsAndK) {
           << "seed " << seed << " k " << k;
     }
   }
+}
+
+// The TriangleGrowth suite once compared a triangle-growth recursion with
+// edge growth. Edge growth is the one recursion left; these cases keep its
+// inputs and check it against kcList and a closed form or brute force.
+TEST(TriangleGrowth, AgreesWithEdgeGrowthOnDenseBlocks) {
   // Dense blocks over a sparse backbone: cliques of up to 8 vertices.
-  const Graph bio = bio_like(300, 1500, 12, 16, 0.6, 7);
+  const Graph g = bio_like(300, 1500, 12, 16, 0.6, 7);
+  CliqueOptions kc;
+  kc.algorithm = Algorithm::KCList;
   for (int k = 4; k <= 8; ++k) {
-    EXPECT_EQ(count_cliques(bio, k).count, brute_force_count(bio, k)) << "bio_like k " << k;
+    const count_t expect = brute_force_count(g, k);
+    EXPECT_EQ(count_cliques(g, k).count, expect) << "k=" << k;
+    EXPECT_EQ(count_cliques(g, k, kc).count, expect) << "k=" << k;
   }
+}
+
+TEST(TriangleGrowth, DeepSearchAgreement) {
+  // A deep search: k = 14 in K_24 grows the clique by seven edges.
+  const Graph g = complete_graph(24);
+  CliqueOptions kc;
+  kc.algorithm = Algorithm::KCList;
+  const CliqueResult edge = count_cliques(g, 14);
+  EXPECT_EQ(edge.count, count_cliques(g, 14, kc).count);
+  EXPECT_EQ(edge.count, binomial(24, 14));
+  EXPECT_GT(edge.stats.recursive_calls, 0u);
 }
 
 TEST(C3List, AllVertexOrdersAgree) {
